@@ -8,7 +8,7 @@ Exit codes:
   membership   0 interior, 1 boundary, 2 exterior
   transport    3 when the point is not on the royal variety
   commutator   0 when no bound violation exists, 4 when one is found
-  64           malformed or out-of-domain input
+  64           malformed or out-of-domain input, NaN and Infinity included
   65           the requested operation failed on valid-looking input
 """
 
@@ -17,17 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
-from .errors import (
-    DenominatorDegenerate,
-    NotNormalized,
-    NotOnRoyalVariety,
-    ParameterOutOfDomain,
-    PoleEncountered,
-    PreconditionUnmet,
-    SingularJacobian,
-)
+from .disc_moebius import DEFAULT_TOL
+from .errors import NotOnRoyalVariety
 from .g2_group import apply_g2, apply_g2_via_roots, transport_to_origin
 from .jsonio import (
     complex_from_json,
@@ -47,14 +39,6 @@ EXIT_USAGE = 64
 EXIT_FAILED = 65
 
 CSV_HEADER = "re_s,im_s,re_p,im_p,sigma2_residual"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = 42
-    samples: int = 1000
-    tol: float = 1e-9
-    fmt: str = "csv"
 
 
 class _InputError(Exception):
@@ -120,17 +104,16 @@ def _cmd_transport(args) -> int:
 
 def _cmd_orbit(args) -> int:
     pt = _parse(args.point, sympoint_from_json)
-    cfg = RunConfig(args.seed, args.samples, args.tol, args.format)
-    images = orbit_sample(pt, cfg.samples, cfg.seed)
-    if cfg.fmt == "csv":
+    images = orbit_sample(pt, args.samples, args.seed)
+    if args.format == "csv":
         print(CSV_HEADER)
         for img in images:
-            _, residual = in_sigma2(img, cfg.tol)
+            _, residual = in_sigma2(img, args.tol)
             cells = (img.s.real, img.s.imag, img.p.real, img.p.imag, residual)
             print(",".join(_fmt17(c) for c in cells))
     else:
         for img in images:
-            _, residual = in_sigma2(img, cfg.tol)
+            _, residual = in_sigma2(img, args.tol)
             out = sympoint_to_json(img)
             out["sigma2_residual"] = residual
             print(dumps(out))
@@ -148,6 +131,16 @@ def _cmd_commutator(args) -> int:
     return 0 if report.n_star is None else 4
 
 
+def _count_from(low: int):
+    """argparse type for an integer count of at least `low`."""
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{n} is below {low}")
+        return n
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="symbidisc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -156,11 +149,11 @@ def _build_parser() -> _Parser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--tol", type=float, default=1e-9)
         return p
 
     p = add("membership", _cmd_membership, "classify a point against the domain")
     p.add_argument("point", help="point JSON (or '-' for stdin)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("apply", _cmd_apply, "apply a group element to a point, with cross-route check")
     p.add_argument("automorphism", help="group element JSON (or '-' for stdin)")
@@ -168,18 +161,19 @@ def _build_parser() -> _Parser:
 
     p = add("transport", _cmd_transport, "group element sending a royal point to the origin")
     p.add_argument("point", help="point JSON (or '-' for stdin)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
     p = add("orbit", _cmd_orbit, "images of a point under seeded random group elements")
     p.add_argument("point", help="point JSON (or '-' for stdin)")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_count_from(0), default=1000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("commutator", _cmd_commutator, "rotation-commutator growth experiment")
     p.add_argument("candidate", help="candidate map JSON (or '-' for stdin)")
     p.add_argument("--tau", required=True, help="unit-modulus rotation, JSON complex")
-    p.add_argument("--n-max", type=int, default=64)
-    p.add_argument("--format", choices=("json",), default="json")
+    p.add_argument("--n-max", type=_count_from(1), default=64)
 
     return parser
 
@@ -192,8 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterOutOfDomain, PoleEncountered, DenominatorDegenerate,
-            NotNormalized, SingularJacobian, PreconditionUnmet) as exc:
+    except (ArithmeticError, ValueError) as exc:  # the package's errors derive from these
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 

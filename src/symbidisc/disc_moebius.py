@@ -39,10 +39,11 @@ def make_moebius(tau: complex, a: complex) -> DiscAutomorphism:
     """Validate (tau, a) and build the automorphism, renormalizing tau to |tau| = 1."""
     tau = complex(tau)
     a = complex(a)
-    if abs(a) >= A_MODULUS_LIMIT:
+    # negated comparisons, so that a NaN parameter is rejected too
+    if not abs(a) < A_MODULUS_LIMIT:
         raise ParameterOutOfDomain(f"|a| = {abs(a)} must be < {A_MODULUS_LIMIT}")
     mod = abs(tau)
-    if abs(mod - 1.0) > TAU_MODULUS_SLACK:
+    if not abs(mod - 1.0) <= TAU_MODULUS_SLACK:
         raise ParameterOutOfDomain(f"|tau| = {mod} must be within {TAU_MODULUS_SLACK} of 1")
     return DiscAutomorphism(tau / mod, a)
 

@@ -11,9 +11,9 @@ and re-symmetrizes. Each route serves as the other's oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .disc_moebius import (
+    A_MODULUS_LIMIT,
     DEFAULT_TOL,
     DiscAutomorphism,
     apply_moebius,
@@ -28,7 +28,6 @@ from .sym_geometry import SymPoint, desymmetrize, royal_param, symmetrize
 # Below this the rational form's denominator (1 - conj(a)*s + conj(a)**2 * p),
 # which equals the product (1 - conj(a)*root1)(1 - conj(a)*root2), is degenerate.
 DENOM_THRESHOLD = 1e-14
-FD_STEP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -64,8 +63,7 @@ def apply_g2(H: G2Automorphism, pt: SymPoint) -> SymPoint:
 
     followed by the rotation (s, p) -> (tau*s, tau^2*p). Defined wherever the
     denominator is nondegenerate, which covers a neighbourhood of the closed domain;
-    membership is not enforced here so finite-difference stencils may straddle the
-    boundary.
+    membership is not enforced here.
     """
     tau, a = H.h.tau, H.h.a
     ac = a.conjugate()
@@ -108,27 +106,25 @@ def g2_equal(H1: G2Automorphism, H2: G2Automorphism, tol: float = DEFAULT_TOL) -
 def transport_to_origin(pt: SymPoint, tol: float = DEFAULT_TOL) -> G2Automorphism:
     """The group element sending a royal point (2a, a^2) to the origin."""
     a = royal_param(pt, tol)
-    if abs(a) >= 1.0 - 1e-12:
+    if abs(a) >= A_MODULUS_LIMIT:
         raise NotOnRoyalVariety(f"|s/2| = {abs(a)} is not inside the open disc")
     return G2Automorphism(make_moebius(1.0, a))
 
 
-def finite_jacobian(fn: Callable[[SymPoint], SymPoint], pt: SymPoint,
-                    step: float = FD_STEP) -> Jacobian2:
-    """Central-difference complex Jacobian of a holomorphic map at pt."""
-    f_sp = fn(SymPoint(pt.s + step, pt.p))
-    f_sm = fn(SymPoint(pt.s - step, pt.p))
-    f_pp = fn(SymPoint(pt.s, pt.p + step))
-    f_pm = fn(SymPoint(pt.s, pt.p - step))
-    inv = 0.5 / step
+def jacobian_at(H: G2Automorphism, pt: SymPoint) -> Jacobian2:
+    """Exact Jacobian of the closed rational form, by the quotient rule.
+
+    Each component of the a-part is N/den with derivative (N' - (N/den)*den')/den,
+    where den' = (-conj(a), conj(a)^2). The rotation turns N/den into the image
+    (S, P) and scales row S by tau and row P by tau^2.
+    """
+    tau, a = H.h.tau, H.h.a
+    ac = a.conjugate()
+    img = apply_g2(H, pt)  # raises where the denominator degenerates
+    den = 1.0 - ac * pt.s + ac * ac * pt.p
     return Jacobian2(
-        (f_sp.s - f_sm.s) * inv,
-        (f_pp.s - f_pm.s) * inv,
-        (f_sp.p - f_sm.p) * inv,
-        (f_pp.p - f_pm.p) * inv,
+        (tau * (1.0 + ac * a) + ac * img.s) / den,
+        (-2.0 * tau * ac - ac * ac * img.s) / den,
+        (-tau * tau * a + ac * img.p) / den,
+        (tau * tau - ac * ac * img.p) / den,
     )
-
-
-def jacobian_at(H: G2Automorphism, pt: SymPoint, step: float = FD_STEP) -> Jacobian2:
-    """Jacobian of the closed rational form at an interior point."""
-    return finite_jacobian(lambda q: apply_g2(H, q), pt, step)

@@ -7,6 +7,7 @@ key order so serialized output is byte-stable.
 
 from __future__ import annotations
 
+import cmath
 import json
 from typing import Any
 
@@ -25,13 +26,21 @@ def complex_from_json(obj: Any) -> complex:
     if isinstance(obj, bool):
         raise ValueError(f"expected a complex number, got {obj!r}")
     if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, dict):
+        re, im = obj, 0.0
+    elif isinstance(obj, dict):
         extra = set(obj) - {"re", "im"}
         if extra:
             raise ValueError(f"unexpected keys {sorted(extra)} in complex value")
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    raise ValueError(f"expected a complex number, got {obj!r}")
+        re, im = obj.get("re", 0.0), obj.get("im", 0.0)
+    else:
+        raise ValueError(f"expected a complex number, got {obj!r}")
+    try:
+        z = complex(float(re), float(im))
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"complex value out of range: {exc}") from exc
+    if not cmath.isfinite(z):
+        raise ValueError(f"non-finite complex value {obj!r}")
+    return z
 
 
 def moebius_to_json(h: DiscAutomorphism) -> dict:
@@ -122,5 +131,5 @@ def report_to_json(r: CommutatorReport) -> dict:
 
 
 def dumps(obj: Any) -> str:
-    """One-line compact JSON."""
-    return json.dumps(obj, separators=(",", ":"))
+    """One-line compact JSON; a non-finite float raises ValueError instead of printing NaN."""
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)

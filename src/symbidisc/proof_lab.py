@@ -16,7 +16,13 @@ fixing the origin is in hand:
 
 This module makes each step a concrete operation on 2x2 complex matrices and
 truncated polynomial candidate maps, plus a pipeline that drives any given map
-through steps 1-4 and reports how far it is from the identity. Orbit sampling
+through steps 1-4 and reports how far it is from the identity. The pipeline reads
+a map only through its Taylor coefficients at the origin, which it computes in one
+way for every map: the trapezoidal-rule Cauchy integral over a torus inside the
+domain, i.e. a 2-D FFT of the map's values on a grid of that torus. For a map
+analytic on the domain this converges geometrically in the grid size (Bornemann,
+Found. Comput. Math. 11, 2011; Trefethen & Weideman, SIAM Rev. 56, 2014), and on a
+polynomial of low enough degree it is exact up to rounding. Orbit sampling
 supplies the evidence-level companion: origin orbits stay on the royal variety,
 non-royal orbits stay off it.
 
@@ -26,9 +32,10 @@ Everything here is seeded and deterministic; experiment results are pinned by
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -39,19 +46,10 @@ from .errors import (
     PreconditionUnmet,
     SingularJacobian,
 )
-from .g2_group import (
-    G2Automorphism,
-    Jacobian2,
-    apply_g2,
-    compose_g2,
-    finite_jacobian,
-    lift,
-    transport_to_origin,
-)
+from .disc_moebius import DEFAULT_TOL, make_moebius
+from .g2_group import Jacobian2, apply_g2, compose_g2, lift, rotation, transport_to_origin
 from .sampling import random_disc, random_moebius, rng_from_seed, random_interior
 from .sym_geometry import ORIGIN, SymPoint, in_g2, in_sigma2
-
-DEFAULT_TOL = 1e-9
 
 # Schwarz-lemma constant: p -> S(0, p) is holomorphic on |p| < 1 (the points (0, p)
 # have roots of modulus sqrt(|p|), hence lie in the domain), is bounded by sup|S| <= 2,
@@ -62,7 +60,14 @@ CAUCHY_BOUND = 2.0
 # |b|*|tau - 1| at or below this counts as "no growth ever": b is effectively zero.
 NO_GROWTH_THRESHOLD = 1e-12
 
-_MapLike = Union[G2Automorphism, "CandidateMap", Callable[[SymPoint], SymPoint]]
+# Taylor coefficients are Cauchy integrals over the torus |s| = 0.5, |p| = 0.25,
+# sampled on a 16x16 grid. The torus lies inside the domain (its largest root
+# modulus is about 0.81). The grid rule is exact on monomials of degree below 16 in
+# each variable; higher ones alias onto lower ones, damped by the radii to the 16th
+# power. Reading coefficient (j, k) divides by 0.5**j * 0.25**k, at most 16 for
+# j + 2k <= 4, so rounding noise is barely amplified.
+TORUS_RADII = (0.5, 0.25)
+TORUS_POINTS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +134,6 @@ def origin_jacobian(F: CandidateMap) -> Jacobian2:
     )
 
 
-def _as_apply(map_like: _MapLike) -> Callable[[SymPoint], SymPoint]:
-    if isinstance(map_like, G2Automorphism):
-        return lambda pt: apply_g2(map_like, pt)
-    if isinstance(map_like, CandidateMap):
-        return lambda pt: evaluate_candidate(map_like, pt)
-    if callable(map_like):
-        return map_like
-    raise TypeError(f"cannot interpret {type(map_like).__name__} as a point map")
-
-
 # ---------------------------------------------------------------------------
 # Commutator Jacobians and the growth bound forcing b = 0
 # ---------------------------------------------------------------------------
@@ -149,14 +144,6 @@ def _to_array(J: Jacobian2) -> np.ndarray:
 
 def _from_array(A: np.ndarray) -> Jacobian2:
     return Jacobian2(complex(A[0, 0]), complex(A[0, 1]), complex(A[1, 0]), complex(A[1, 1]))
-
-
-def _unit(tau: complex) -> complex:
-    tau = complex(tau)
-    mod = abs(tau)
-    if abs(mod - 1.0) > 1e-6:
-        raise ParameterOutOfDomain(f"|tau| = {mod} must be within 1e-6 of 1")
-    return tau / mod
 
 
 def _check_normalized(J: Jacobian2) -> None:
@@ -170,7 +157,7 @@ def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
     For J = [[1, b], [0, d]] the product collapses to [[1, b*(tau-1)], [0, 1]]: the
     commutator is unipotent no matter what d is.
     """
-    t = _unit(tau)
+    t = make_moebius(tau, 0j).tau
     _check_normalized(J)
     A = _to_array(J)
     det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
@@ -196,7 +183,7 @@ def cauchy_bound_check(b: complex, tau: complex) -> tuple[int | None, float]:
     A None result is the numerical form of the conclusion that b = 0: a genuine
     self-map of the domain can never push the iterated corner entry past the bound.
     """
-    t = _unit(tau)
+    t = make_moebius(tau, 0j).tau
     per_step = abs(b) * abs(t - 1.0)
     if per_step <= NO_GROWTH_THRESHOLD:
         return None, CAUCHY_BOUND
@@ -222,7 +209,7 @@ def commutator_experiment(F: CandidateMap, tau: complex, n_max: int = 64) -> Com
     the candidate is consistent with being an automorphism; n_star present names
     the first iterate whose corner entry provably exceeds the bound.
     """
-    t = _unit(tau)
+    t = make_moebius(tau, 0j).tau
     J = origin_jacobian(F)
     G = commutator_jacobian(J, t)
     iterated = iterate_commutator(J, t, n_max)
@@ -243,7 +230,7 @@ def rotation_commutation_residual(F: CandidateMap, tau: complex,
     """Max defect of (t*S(s,p), t^2*P(s,p)) = (S(t*s, t^2*p), P(t*s, t^2*p)) on samples."""
     if samples < 1:
         raise ParameterOutOfDomain("samples must be positive")
-    t = _unit(tau)
+    t = make_moebius(tau, 0j).tau
     rng = rng_from_seed(seed)
     worst = 0.0
     for _ in range(samples):
@@ -303,12 +290,12 @@ def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL,
         raise PreconditionUnmet(f"candidate is not rotation-commuting: {exc}") from exc
     if abs(alpha - 1.0) > tol or abs(d - 1.0) > tol:
         raise PreconditionUnmet(f"normalized form expected: alpha = {alpha}, d = {d}")
-    residual = _royal_deviation(lambda pt: evaluate_candidate(F, pt), samples, seed)
+    residual = _royal_deviation(F, samples, seed)
     return residual <= tol, residual
 
 
 # ---------------------------------------------------------------------------
-# Orbits, displacement diagnostics, and polynomial fitting
+# Orbits, displacement diagnostics, and Taylor extraction
 # ---------------------------------------------------------------------------
 
 def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
@@ -324,50 +311,54 @@ def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
     return [apply_g2(lift(random_moebius(rng)), pt) for _ in range(count)]
 
 
-def cartan_residual(map_like: _MapLike, samples: int = 256, seed: int = 0) -> float:
+def cartan_residual(map_like: Callable[[SymPoint], SymPoint], samples: int = 256,
+                    seed: int = 0) -> float:
     """Max displacement of seeded interior samples; zero when the map is the identity.
 
     Diagnostic companion to the uniqueness theorem for maps whose origin Jacobian
     is the identity: group elements with unipotent trivial Jacobian do not move any
     sample, while non-group candidates generally do. No theorem-level claim is made.
     """
-    apply_fn = _as_apply(map_like)
     rng = rng_from_seed(seed)
     worst = 0.0
     for _ in range(samples):
         pt = random_interior(rng)
-        img = apply_fn(pt)
+        img = map_like(pt)
         worst = max(worst, abs(img.s - pt.s), abs(img.p - pt.p))
     return worst
 
 
-def fit_candidate(map_like: _MapLike, degree_cap: int = 4, radius: float = 0.35,
-                  samples: int = 160, seed: int = 7) -> CandidateMap:
-    """Least-squares truncation of an origin-fixing map to a polynomial candidate.
+def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4) -> CandidateMap:
+    """Taylor coefficients of an origin-fixing map, truncated at weighted degree degree_cap.
 
-    Samples (s, p) from pairs of disc points of modulus <= radius and solves the
-    Vandermonde system for both components at once. The constant column is omitted,
-    so the fit fixes the origin by construction.
+    Samples the map on a TORUS_POINTS x TORUS_POINTS grid of the torus
+    |s| = r_s, |p| = r_p (TORUS_RADII) and takes the 2-D FFT: entry (j, k) divided by
+    the grid size and by r_s**j * r_p**k is the trapezoidal-rule Cauchy integral for
+    the coefficient of s**j * p**k. Only monomials with j + 2k <= degree_cap are kept,
+    since higher ones would amplify rounding by r**-(j+2k).
     """
-    apply_fn = _as_apply(map_like)
-    at_origin = apply_fn(ORIGIN)
+    if not 0 < degree_cap < TORUS_POINTS:
+        raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
+    at_origin = map_like(ORIGIN)
     if max(abs(at_origin.s), abs(at_origin.p)) > 1e-8:
         raise PreconditionUnmet(f"map moves the origin to {at_origin}")
-    exps = [(j, k) for k in range(degree_cap // 2 + 1)
-            for j in range(degree_cap - 2 * k + 1) if (j, k) != (0, 0)]
-    exps.sort()
-    rng = rng_from_seed(seed)
-    pts = [random_interior(rng, radius) for _ in range(samples)]
-    A = np.array([[pt.s ** j * pt.p ** k for (j, k) in exps] for pt in pts], dtype=complex)
-    images = [apply_fn(pt) for pt in pts]
-    rhs = np.array([[img.s, img.p] for img in images], dtype=complex)
-    coeffs, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    terms = {e: (coeffs[i, 0], coeffs[i, 1]) for i, e in enumerate(exps)}
+    n = TORUS_POINTS
+    rs, rp = TORUS_RADII
+    circle = [cmath.exp(2j * math.pi * m / n) for m in range(n)]
+    images = [map_like(SymPoint(rs * u, rp * v)) for u in circle for v in circle]
+    S = np.fft.fft2(np.array([q.s for q in images]).reshape(n, n)) / (n * n)
+    P = np.fft.fft2(np.array([q.p for q in images]).reshape(n, n)) / (n * n)
+    terms = {}
+    for k in range(degree_cap // 2 + 1):
+        for j in range(degree_cap - 2 * k + 1):
+            scale = rs ** j * rp ** k
+            terms[(j, k)] = (S[j, k] / scale, P[j, k] / scale)
+    del terms[(0, 0)]  # the constant term is the origin image, checked above
     return make_candidate(terms, degree_cap)
 
 
 # ---------------------------------------------------------------------------
-# End-to-end pipeline: transport, divide out the rotation, extract, force C = 0
+# End-to-end pipeline: transport, extract, divide out the rotation, force C = 0
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -386,51 +377,52 @@ class PipelineReport:
     identity_certified: bool
 
 
-def normalize_and_extract(map_like: _MapLike, tol: float = 1e-8, degree_cap: int = 4,
-                          fit_radius: float = 0.35, fit_samples: int = 160,
-                          seed: int = 7) -> PipelineReport:
+def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float = 1e-8,
+                          degree_cap: int = 4) -> PipelineReport:
     """Drive a map through the full forcing chain and report the extracted form.
 
-    Steps: move the image of the origin back to the origin with a royal transport,
-    divide out the rotation measured from the Jacobian's (1,1) entry, fit the result
-    to a polynomial candidate, extract (alpha, d, C), and check royal points are
-    fixed. A genuine group element comes out certified as the identity; a candidate
-    with a stray C survives extraction but fails the royal check.
+    Every map, group element or black box alike, takes the same stages:
+
+      1. transport: move the image of the origin back to the origin with a royal
+         transport, composed after the map;
+      2. extraction: read the Taylor coefficients of the transported map once, by the
+         torus Cauchy integral of `fit_candidate`;
+      3. rotation: take the unit rotation from the extracted s-coefficient of S (the
+         Jacobian's (1,1) entry) and divide it out of the coefficient table, S terms
+         by rot and P terms by rot**2;
+      4. weighted form: read off (alpha, d, C) with `weighted_form_extract`;
+      5. royal check: check that royal points are fixed, which forces C = 0.
+
+    A genuine group element comes out certified as the identity; a candidate with a
+    stray C survives extraction but fails the royal check.
 
     Raises NotWeightedHomogeneous when the normalized map does not commute with
     rotations, and PreconditionUnmet when the origin image is off the royal variety.
     """
-    apply_fn = _as_apply(map_like)
-    img = apply_fn(ORIGIN)
+    img = map_like(ORIGIN)
     member, residual = in_sigma2(img, max(tol, 1e-8))
     if not member:
         raise PreconditionUnmet(
             f"origin image {img} is off the royal variety (residual {residual})")
     transport = transport_to_origin(img, max(tol, 1e-8))
-    if isinstance(map_like, G2Automorphism):
-        # composing in canonical coordinates avoids the ill-conditioned chained
-        # evaluation near the boundary when the transport parameter is large
-        moved = _as_apply(compose_g2(transport, map_like))
-    else:
-        moved = lambda pt: apply_g2(transport, apply_fn(pt))  # noqa: E731
+    raw = fit_candidate(lambda pt: apply_g2(transport, map_like(pt)), degree_cap)
 
-    J = finite_jacobian(moved, ORIGIN)
-    if abs(J.m11) < 0.1:
-        raise PreconditionUnmet(f"degenerate rotation part |m11| = {abs(J.m11)}")
-    rot = J.m11 / abs(J.m11)
+    m11 = origin_jacobian(raw).m11
+    if abs(m11) < 0.1:
+        raise PreconditionUnmet(f"degenerate rotation part |m11| = {abs(m11)}")
+    rot = m11 / abs(m11)
     rot_inv = rot.conjugate()
+    fitted = make_candidate({key: (rot_inv * cs, rot_inv * rot_inv * cp)
+                             for key, (cs, cp) in raw.terms.items()}, degree_cap)
 
-    def normalized(pt: SymPoint) -> SymPoint:
-        q = moved(pt)
-        return SymPoint(rot_inv * q.s, rot_inv * rot_inv * q.p)
-
-    fitted = fit_candidate(normalized, degree_cap, fit_radius, fit_samples, seed)
     alpha, d, C = weighted_form_extract(fitted, tol)
     try:
         royal_ok, royal_residual = force_c_zero(fitted, tol)
     except PreconditionUnmet:
         royal_ok = False
-        royal_residual = _royal_deviation(normalized, samples=64, seed=11)
+        undo = compose_g2(rotation(rot_inv), transport)
+        royal_residual = _royal_deviation(lambda pt: apply_g2(undo, map_like(pt)),
+                                          samples=64, seed=11)
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(
         origin_image=img,

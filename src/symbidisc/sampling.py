@@ -36,7 +36,3 @@ def random_moebius(rng: np.random.Generator, max_a: float = 0.95) -> DiscAutomor
 def random_interior(rng: np.random.Generator, max_radius: float = 0.999) -> SymPoint:
     return symmetrize(random_disc(rng, max_radius), random_disc(rng, max_radius))
 
-
-def random_royal(rng: np.random.Generator, max_radius: float = 0.999) -> SymPoint:
-    lam = random_disc(rng, max_radius)
-    return SymPoint(2.0 * lam, lam * lam)

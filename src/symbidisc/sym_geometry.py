@@ -10,9 +10,8 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 
+from .disc_moebius import DEFAULT_TOL
 from .errors import NotOnRoyalVariety
-
-DEFAULT_TOL = 1e-9
 
 
 @dataclass(frozen=True)

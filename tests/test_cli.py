@@ -92,6 +92,9 @@ class TestApply:
         auto = '{"h": {"tau": 1, "a": 0.5}}'
         code, _, err = run(capsys, "apply", auto, point(2, 0))
         assert code == 65 and err != ""
+        # a non-finite result is refused rather than printed as NaN
+        code, out, err = run(capsys, "apply", auto, point(1e300, 1e300))
+        assert code == 65 and "NaN" not in out and err != ""
 
 
 class TestTransport:
@@ -191,8 +194,15 @@ class TestDeterminism:
         assert out1 == out2
 
     def test_usage_error_is_exit_64(self, capsys):
-        code, _, err = run(capsys, "orbit")  # missing point argument
-        assert code == 64 and err != ""
+        for argv in [
+            ("orbit",),  # missing point argument
+            ("orbit", point(0, 0), "--samples", "-5"),
+            ("commutator", IDENTITY_CANDIDATE, "--tau", "-1", "--n-max", "0"),
+            ("membership", '{"s": NaN, "p": 0}'),
+            ("apply", '{"h": {"tau": 1, "a": NaN}}', point(0, 0)),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert code == 64 and out == "" and err != "", argv
 
     def test_unknown_command_is_exit_64(self, capsys):
         code, _, _ = run(capsys, "fly")

@@ -36,12 +36,12 @@ class TestConstruction:
         h = make_moebius((1 + 5e-7) * cmath.exp(0.3j), 0.1)
         assert abs(abs(h.tau) - 1.0) <= 1e-15
 
-    @pytest.mark.parametrize("tau,a", [(1, 1), (1, 1 - 1e-15), (1, 2j)])
+    @pytest.mark.parametrize("tau,a", [(1, 1), (1, 1 - 1e-15), (1, 2j), (1, float("nan"))])
     def test_rejects_a_outside_disc(self, tau, a):
         with pytest.raises(ParameterOutOfDomain):
             make_moebius(tau, a)
 
-    @pytest.mark.parametrize("tau", [2, 0, 1 + 1e-5, 0.5j])
+    @pytest.mark.parametrize("tau", [2, 0, 1 + 1e-5, 0.5j, float("nan")])
     def test_rejects_non_unit_tau(self, tau):
         with pytest.raises(ParameterOutOfDomain):
             make_moebius(tau, 0)

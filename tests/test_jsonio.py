@@ -36,7 +36,9 @@ class TestComplex:
         assert complex_from_json({"re": 1.0}) == 1.0 + 0j
         assert complex_from_json({"im": 2.0}) == 2.0j
 
-    @pytest.mark.parametrize("bad", [True, "1", [1, 2], {"re": 1, "x": 2}, None])
+    @pytest.mark.parametrize("bad", [True, "1", [1, 2], {"re": 1, "x": 2}, None,
+                                     float("nan"), {"re": 1, "im": float("inf")},
+                                     {"re": 10**400}])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             complex_from_json(bad)

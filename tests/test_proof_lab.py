@@ -12,6 +12,7 @@ from symbidisc import (
     PreconditionUnmet,
     SingularJacobian,
     SymPoint,
+    apply_g2,
     cartan_residual,
     cauchy_bound_check,
     commutator_experiment,
@@ -341,6 +342,16 @@ class TestPipeline:
             assert report.identity_certified
             assert report.identity_deviation <= 1e-8
             assert report.royal_residual <= 1e-8
+
+    def test_black_box_elements_certify_near_boundary(self):
+        # plain callables: the pipeline sees only point values, never (tau, a)
+        rng = rng_from_seed(48)
+        for modulus in (0.9, 0.99, 0.999):
+            for _ in range(20):
+                H = lift(make_moebius(random_unit(rng), modulus * random_unit(rng)))
+                report = normalize_and_extract(lambda q, H=H: apply_g2(H, q))
+                assert report.identity_certified
+                assert report.identity_deviation <= 1e-8
 
     def test_transport_param_matches_origin_image(self):
         h = make_moebius(1j, 0.4)
