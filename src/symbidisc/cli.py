@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .disc_moebius import DEFAULT_TOL
@@ -108,12 +109,12 @@ def _cmd_orbit(args) -> int:
     if args.format == "csv":
         print(CSV_HEADER)
         for img in images:
-            _, residual = in_sigma2(img, args.tol)
+            _, residual = in_sigma2(img)
             cells = (img.s.real, img.s.imag, img.p.real, img.p.imag, residual)
             print(",".join(_fmt17(c) for c in cells))
     else:
         for img in images:
-            _, residual = in_sigma2(img, args.tol)
+            _, residual = in_sigma2(img)
             out = sympoint_to_json(img)
             out["sigma2_residual"] = residual
             print(dumps(out))
@@ -141,6 +142,14 @@ def _count_from(low: int):
     return parse
 
 
+def _tolerance(text: str) -> float:
+    """argparse type for a finite tolerance of at least 0."""
+    tol = float(text)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text} is not a finite tolerance >= 0")
+    return tol
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="symbidisc", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -153,7 +162,7 @@ def _build_parser() -> _Parser:
 
     p = add("membership", _cmd_membership, "classify a point against the domain")
     p.add_argument("point", help="point JSON (or '-' for stdin)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = add("apply", _cmd_apply, "apply a group element to a point, with cross-route check")
     p.add_argument("automorphism", help="group element JSON (or '-' for stdin)")
@@ -161,11 +170,10 @@ def _build_parser() -> _Parser:
 
     p = add("transport", _cmd_transport, "group element sending a royal point to the origin")
     p.add_argument("point", help="point JSON (or '-' for stdin)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = add("orbit", _cmd_orbit, "images of a point under seeded random group elements")
     p.add_argument("point", help="point JSON (or '-' for stdin)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=_count_from(0), default=1000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")

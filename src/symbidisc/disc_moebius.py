@@ -24,7 +24,7 @@ POLE_THRESHOLD = 1e-14
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscAutomorphism:
     """Canonical parameters of lam -> tau*(lam - a)/(1 - conj(a)*lam)."""
 
@@ -37,15 +37,25 @@ class DiscAutomorphism:
 
 def make_moebius(tau: complex, a: complex) -> DiscAutomorphism:
     """Validate (tau, a) and build the automorphism, renormalizing tau to |tau| = 1."""
-    tau = complex(tau)
-    a = complex(a)
-    # negated comparisons, so that a NaN parameter is rejected too
-    if not abs(a) < A_MODULUS_LIMIT:
-        raise ParameterOutOfDomain(f"|a| = {abs(a)} must be < {A_MODULUS_LIMIT}")
+    return DiscAutomorphism(*_canonical_params(complex(tau), complex(a)))
+
+
+def _canonical_params(tau, a):
+    """make_moebius's checks and renormalization, on complex scalars or arrays alike."""
+    # the largest entry decides; a NaN propagates into it and fails the negated test
+    mod_a = _largest(abs(a))
+    if not mod_a < A_MODULUS_LIMIT:
+        raise ParameterOutOfDomain(f"|a| = {mod_a} must be < {A_MODULUS_LIMIT}")
     mod = abs(tau)
-    if not abs(mod - 1.0) <= TAU_MODULUS_SLACK:
-        raise ParameterOutOfDomain(f"|tau| = {mod} must be within {TAU_MODULUS_SLACK} of 1")
-    return DiscAutomorphism(tau / mod, a)
+    drift = _largest(abs(mod - 1.0))
+    if not drift <= TAU_MODULUS_SLACK:
+        raise ParameterOutOfDomain(f"|tau| is {drift} from 1, beyond {TAU_MODULUS_SLACK}")
+    return tau / mod, a
+
+
+def _largest(values):
+    # a float is its own largest entry; an ndarray of floats has .max()
+    return values if isinstance(values, float) else values.max()
 
 
 def identity() -> DiscAutomorphism:

@@ -30,7 +30,7 @@ from .sym_geometry import SymPoint, desymmetrize, royal_param, symmetrize
 DENOM_THRESHOLD = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class G2Automorphism:
     """Lift of a disc automorphism; the wrapped h determines the map completely."""
 
@@ -40,7 +40,7 @@ class G2Automorphism:
         return apply_g2(self, pt)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Jacobian2:
     """Complex 2x2 Jacobian, rows indexed by output (S, P), columns by input (s, p)."""
 
@@ -65,17 +65,29 @@ def apply_g2(H: G2Automorphism, pt: SymPoint) -> SymPoint:
     denominator is nondegenerate, which covers a neighbourhood of the closed domain;
     membership is not enforced here.
     """
-    tau, a = H.h.tau, H.h.a
+    S, P, _ = _lift_form(H.h.tau, H.h.a, pt.s, pt.p)
+    return SymPoint(S, P)
+
+
+def _lift_form(tau, a, s, p):
+    """apply_g2's closed form on complex scalars or on complex128 arrays alike.
+
+    Arrays hold one group element or one point per entry and broadcast against each
+    other. Returns (S, P, den); raises DenominatorDegenerate before dividing when
+    any |den| is below DENOM_THRESHOLD.
+    """
     ac = a.conjugate()
-    den = 1.0 - ac * pt.s + ac * ac * pt.p
-    if abs(den) < DENOM_THRESHOLD:
-        raise DenominatorDegenerate(f"denominator {abs(den)} below {DENOM_THRESHOLD}")
+    den = 1.0 - ac * s + ac * ac * p
+    mod = abs(den)
+    smallest = mod if isinstance(mod, float) else mod.min()
+    if smallest < DENOM_THRESHOLD:
+        raise DenominatorDegenerate(f"denominator {smallest} below {DENOM_THRESHOLD}")
     # grouped so that both numerators cancel exactly at the map's own royal point
     # (s, p) = (2a, a^2); the expanded form (1+|a|^2)s - 2*conj(a)*p - 2a leaks
     # rounding noise there that the denominator (1-|a|^2)^2 then amplifies
-    s1 = ((pt.s - 2.0 * a) + ac * (a * pt.s - 2.0 * pt.p)) / den
-    p1 = ((pt.p - a * pt.s) + a * a) / den
-    return SymPoint(tau * s1, tau * tau * p1)
+    s1 = ((s - 2.0 * a) + ac * (a * s - 2.0 * p)) / den
+    p1 = ((p - a * s) + a * a) / den
+    return tau * s1, tau * tau * p1, den
 
 
 def apply_g2_via_roots(H: G2Automorphism, pt: SymPoint) -> SymPoint:
@@ -120,11 +132,10 @@ def jacobian_at(H: G2Automorphism, pt: SymPoint) -> Jacobian2:
     """
     tau, a = H.h.tau, H.h.a
     ac = a.conjugate()
-    img = apply_g2(H, pt)  # raises where the denominator degenerates
-    den = 1.0 - ac * pt.s + ac * ac * pt.p
+    S, P, den = _lift_form(tau, a, pt.s, pt.p)  # raises where the denominator degenerates
     return Jacobian2(
-        (tau * (1.0 + ac * a) + ac * img.s) / den,
-        (-2.0 * tau * ac - ac * ac * img.s) / den,
-        (-tau * tau * a + ac * img.p) / den,
-        (tau * tau - ac * ac * img.p) / den,
+        (tau * (1.0 + ac * a) + ac * S) / den,
+        (-2.0 * tau * ac - ac * ac * S) / den,
+        (-tau * tau * a + ac * P) / den,
+        (tau * tau - ac * ac * P) / den,
     )

@@ -110,14 +110,21 @@ def candidate_from_json(obj: Any) -> CandidateMap:
     for entry in obj["terms"]:
         if not isinstance(entry, dict) or "j" not in entry or "k" not in entry:
             raise ValueError(f"term {entry!r} needs keys 'j' and 'k'")
-        key = (int(entry["j"]), int(entry["k"]))
+        key = (_exponent(entry["j"]), _exponent(entry["k"]))
         if key in table:
             raise ValueError(f"duplicate monomial {key}")
         table[key] = (
             complex_from_json(entry.get("S", 0.0)),
             complex_from_json(entry.get("P", 0.0)),
         )
-    return make_candidate(table, int(obj.get("degree_cap", 4)))
+    return make_candidate(table, _exponent(obj.get("degree_cap", 4)))
+
+
+def _exponent(obj: Any) -> int:
+    # int() would truncate 1.7 to 1 and read true as 1
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValueError(f"expected an integer, got {obj!r}")
+    return obj
 
 
 def report_to_json(r: CommutatorReport) -> dict:

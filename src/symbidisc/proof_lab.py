@@ -35,9 +35,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Mapping
 
 from .errors import (
     NotWeightedHomogeneous,
@@ -46,10 +44,13 @@ from .errors import (
     PreconditionUnmet,
     SingularJacobian,
 )
-from .disc_moebius import DEFAULT_TOL, make_moebius
-from .g2_group import Jacobian2, apply_g2, compose_g2, lift, rotation, transport_to_origin
-from .sampling import random_disc, random_moebius, rng_from_seed, random_interior
+from .disc_moebius import DEFAULT_TOL, _canonical_params, make_moebius
+from .g2_group import Jacobian2, _lift_form, apply_g2, compose_g2, rotation, transport_to_origin
+from .sampling import random_disc, random_interior, random_moebius_params, rng_from_seed
 from .sym_geometry import ORIGIN, SymPoint, in_g2, in_sigma2
+
+if TYPE_CHECKING:  # numpy is imported where it is used, so the scalar CLI commands skip it
+    import numpy as np
 
 # Schwarz-lemma constant: p -> S(0, p) is holomorphic on |p| < 1 (the points (0, p)
 # have roots of modulus sqrt(|p|), hence lie in the domain), is bounded by sup|S| <= 2,
@@ -139,6 +140,8 @@ def origin_jacobian(F: CandidateMap) -> Jacobian2:
 # ---------------------------------------------------------------------------
 
 def _to_array(J: Jacobian2) -> np.ndarray:
+    import numpy as np
+
     return np.array([[J.m11, J.m12], [J.m21, J.m22]], dtype=complex)
 
 
@@ -157,6 +160,8 @@ def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
     For J = [[1, b], [0, d]] the product collapses to [[1, b*(tau-1)], [0, 1]]: the
     commutator is unipotent no matter what d is.
     """
+    import numpy as np
+
     t = make_moebius(tau, 0j).tau
     _check_normalized(J)
     A = _to_array(J)
@@ -173,6 +178,8 @@ def iterate_commutator(J: Jacobian2, tau: complex, n: int) -> Jacobian2:
     """n-th matrix power of the commutator Jacobian; corner entry is n*b*(tau-1)."""
     if n < 1:
         raise ParameterOutOfDomain(f"iteration count {n} must be positive")
+    import numpy as np
+
     G = _to_array(commutator_jacobian(J, tau))
     return _from_array(np.linalg.matrix_power(G, n))
 
@@ -304,11 +311,20 @@ def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
     Orbits of the origin land on the royal variety (residual ~ 1e-15); orbits of a
     non-royal point keep a strictly positive discriminant residual. The latter is
     evidence, not proof, that the group action has more than one orbit.
+
+    All elements are drawn, checked and applied at once on complex128 arrays, by the
+    code that serves random_moebius, make_moebius and apply_g2 for one element. The
+    images match that one-at-a-time loop to rounding, not bit for bit.
     """
+    if count < 0:
+        raise ParameterOutOfDomain(f"orbit size {count} must not be negative")
     if in_g2(pt).region != "interior":
         raise PreconditionUnmet(f"{pt} is not an interior point")
-    rng = rng_from_seed(seed)
-    return [apply_g2(lift(random_moebius(rng)), pt) for _ in range(count)]
+    if count == 0:
+        return []
+    tau, a = _canonical_params(*random_moebius_params(rng_from_seed(seed), count))
+    S, P, _ = _lift_form(tau, a, pt.s, pt.p)
+    return [SymPoint(s, p) for s, p in zip(S.tolist(), P.tolist())]
 
 
 def cartan_residual(map_like: Callable[[SymPoint], SymPoint], samples: int = 256,
@@ -339,6 +355,8 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4)
     """
     if not 0 < degree_cap < TORUS_POINTS:
         raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
+    import numpy as np
+
     at_origin = map_like(ORIGIN)
     if max(abs(at_origin.s), abs(at_origin.p)) > 1e-8:
         raise PreconditionUnmet(f"map moves the origin to {at_origin}")

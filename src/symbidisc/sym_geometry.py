@@ -14,7 +14,7 @@ from .disc_moebius import DEFAULT_TOL
 from .errors import NotOnRoyalVariety
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SymPoint:
     """A point of C^2 in (sum, product) coordinates."""
 
@@ -22,7 +22,7 @@ class SymPoint:
     p: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RootPair:
     """Unordered root pair stored lexicographically by (real, imag)."""
 
@@ -30,7 +30,7 @@ class RootPair:
     second: complex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MembershipVerdict:
     region: str  # "interior" | "boundary" | "exterior"
     margin: float  # 1 - max(|root|); positive inside, negative outside

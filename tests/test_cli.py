@@ -1,5 +1,10 @@
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +149,14 @@ class TestOrbit:
         _, out2, _ = run(capsys, "orbit", point(0.5, 0), "--samples", "3", "--seed", "2")
         assert out1 != out2
 
+    def test_csv_bytes_are_pinned(self, capsys):
+        # golden digest: any drift in the seeded draw, the array kernel's rounding or
+        # the CSV formatting changes it (numpy 2.4 on x86-64)
+        code, out, _ = run(capsys, "orbit", '{"s":0.5,"p":0}', "--samples", "1000", "--seed", "42")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "084729bd88456c06e6a39b361d1d894797faa292be97348fdf1982e578d9204d")
+
 
 class TestCommutator:
     def test_identity_candidate_consistent(self, capsys):
@@ -200,6 +213,11 @@ class TestDeterminism:
             ("commutator", IDENTITY_CANDIDATE, "--tau", "-1", "--n-max", "0"),
             ("membership", '{"s": NaN, "p": 0}'),
             ("apply", '{"h": {"tau": 1, "a": NaN}}', point(0, 0)),
+            ("membership", point(0, 0), "--tol", "NaN"),
+            ("membership", point(0, 0), "--tol", "-1"),
+            ("transport", point(0.8, 0.16), "--tol", "inf"),
+            ("transport", point(0.8, 0.16), "--tol", "-1e-9"),
+            ("orbit", point(0, 0), "--tol", "1e-9"),  # orbit has no tolerance
         ]:
             code, out, err = run(capsys, *argv)
             assert code == 64 and out == "" and err != "", argv
@@ -207,3 +225,19 @@ class TestDeterminism:
     def test_unknown_command_is_exit_64(self, capsys):
         code, _, _ = run(capsys, "fly")
         assert code == 64
+
+
+def test_scalar_commands_do_not_import_numpy():
+    script = "\n".join([
+        "import sys",
+        "from symbidisc.cli import main",
+        "main(['membership', '{\"s\": 0.9, \"p\": 0.2}'])",
+        "main(['apply', '{\"h\": {\"tau\": 1, \"a\": 0.4}}', '{\"s\": 0.8, \"p\": 0.16}'])",
+        "main(['transport', '{\"s\": 1.0, \"p\": 0.25}'])",
+        "assert 'numpy' not in sys.modules, 'numpy was imported'",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 3

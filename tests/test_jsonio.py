@@ -93,6 +93,20 @@ class TestCandidate:
         with pytest.raises(ValueError):
             candidate_from_json({"terms": [{"S": 1, "P": 0}]})
 
+    @pytest.mark.parametrize("field,bad", [
+        ("j", 1.7), ("j", 1.0), ("j", True), ("k", "1"), ("k", None), ("k", False),
+        ("degree_cap", 4.5), ("degree_cap", True),
+    ])
+    def test_rejects_non_integer_exponents(self, field, bad):
+        obj = {"degree_cap": 4, "terms": [{"j": 1, "k": 0, "S": 1, "P": 0},
+                                          {"j": 0, "k": 1, "S": 0, "P": 1}]}
+        if field == "degree_cap":
+            obj["degree_cap"] = bad
+        else:
+            obj["terms"][0][field] = bad
+        with pytest.raises(ValueError):
+            candidate_from_json(obj)
+
     def test_dumps_is_single_line(self):
         F = make_candidate({(1, 0): (1, 0), (0, 1): (0, 1)})
         assert "\n" not in dumps(candidate_to_json(F))

@@ -1,9 +1,11 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 
 from symbidisc import (
+    DenominatorDegenerate,
     Jacobian2,
     NotNormalized,
     NotWeightedHomogeneous,
@@ -33,8 +35,10 @@ from symbidisc import (
     origin_jacobian,
     rotation,
     rotation_commutation_residual,
+    symmetrize,
     weighted_form_extract,
 )
+from symbidisc import proof_lab
 from symbidisc.sampling import random_disc, random_interior, random_moebius, random_unit, rng_from_seed
 
 
@@ -296,6 +300,39 @@ class TestOrbit:
     def test_rejects_exterior_point(self):
         with pytest.raises(PreconditionUnmet):
             orbit_sample(SymPoint(3, 0), 5, 0)
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(ParameterOutOfDomain):
+            orbit_sample(SymPoint(0.1, 0), -5, 0)
+
+    @pytest.mark.parametrize("pt", [ORIGIN, SymPoint(0.5, 0), symmetrize(0.999, -0.998j)],
+                             ids=["origin", "non_royal", "near_boundary"])
+    def test_matches_one_element_at_a_time(self, pt):
+        # the array pass divides complex numbers the way numpy does, not the way Python
+        # does, so the images agree to rounding rather than bit for bit
+        rng = rng_from_seed(42)
+        expected = [apply_g2(lift(random_moebius(rng)), pt) for _ in range(500)]
+        images = orbit_sample(pt, 500, 42)
+        assert len(images) == len(expected)
+        assert max(max(abs(q.s - e.s), abs(q.p - e.p))
+                   for q, e in zip(images, expected)) <= 1e-14
+
+    @pytest.mark.parametrize("tau,a,pt,error", [
+        (1, 1.5, ORIGIN, ParameterOutOfDomain),
+        (1, float("nan"), ORIGIN, ParameterOutOfDomain),
+        (2, 0.3, ORIGIN, ParameterOutOfDomain),
+        # interior royal point (2*lam, lam**2) with lam near a: the denominator
+        # (1 - conj(a)*lam)**2 is about 2.5e-15
+        (1, 1 - 1e-11, SymPoint(2 * (1 - 5e-8), (1 - 5e-8) ** 2), DenominatorDegenerate),
+    ], ids=["a_outside_disc", "nan_a", "non_unit_tau", "degenerate_denominator"])
+    def test_bad_element_raises_as_one_at_a_time(self, monkeypatch, tau, a, pt, error):
+        with pytest.raises(error):
+            apply_g2(lift(make_moebius(tau, a)), pt)
+        # the same element drawn second, after a good one
+        draw = (np.array([1j, tau], dtype=complex), np.array([0.2, a], dtype=complex))
+        monkeypatch.setattr(proof_lab, "random_moebius_params", lambda rng, count: draw)
+        with pytest.raises(error):
+            orbit_sample(pt, 2, 0)
 
 
 class TestCartanResidual:
