@@ -40,6 +40,7 @@ EXIT_USAGE = 64
 EXIT_FAILED = 65
 
 CSV_HEADER = "re_s,im_s,re_p,im_p,sigma2_residual"
+CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g"
 
 
 class _InputError(Exception):
@@ -65,10 +66,6 @@ def _parse(text: str, decode):
         return decode(_load_json(text))
     except ValueError as exc:  # domain-type decoders raise ValueError subclasses
         raise _InputError(str(exc)) from exc
-
-
-def _fmt17(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _cmd_membership(args) -> int:
@@ -107,11 +104,9 @@ def _cmd_orbit(args) -> int:
     pt = _parse(args.point, sympoint_from_json)
     images = orbit_sample(pt, args.samples, args.seed)
     if args.format == "csv":
-        print(CSV_HEADER)
-        for img in images:
-            _, residual = in_sigma2(img)
-            cells = (img.s.real, img.s.imag, img.p.real, img.p.imag, residual)
-            print(",".join(_fmt17(c) for c in cells))
+        rows = [CSV_ROW % (img.s.real, img.s.imag, img.p.real, img.p.imag, in_sigma2(img)[1])
+                for img in images]
+        print("\n".join([CSV_HEADER, *rows]))
     else:
         for img in images:
             _, residual = in_sigma2(img)

@@ -32,7 +32,6 @@ Everything here is seeded and deterministic; experiment results are pinned by
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping
@@ -46,7 +45,12 @@ from .errors import (
 )
 from .disc_moebius import DEFAULT_TOL, _canonical_params, make_moebius
 from .g2_group import Jacobian2, _lift_form, apply_g2, compose_g2, rotation, transport_to_origin
-from .sampling import random_disc, random_interior, random_moebius_params, rng_from_seed
+from .sampling import (
+    random_disc_points,
+    random_interior_points,
+    random_moebius_params,
+    rng_from_seed,
+)
 from .sym_geometry import ORIGIN, SymPoint, in_g2, in_sigma2
 
 if TYPE_CHECKING:  # numpy is imported where it is used, so the scalar CLI commands skip it
@@ -115,6 +119,7 @@ def identity_candidate(degree_cap: int = 4) -> CandidateMap:
 
 
 def evaluate_candidate(F: CandidateMap, pt: SymPoint) -> SymPoint:
+    """F at pt, whose coordinates are complex scalars or complex128 arrays alike."""
     S = 0j
     P = 0j
     for (j, k), (cs, cp) in F.terms.items():
@@ -238,14 +243,10 @@ def rotation_commutation_residual(F: CandidateMap, tau: complex,
     if samples < 1:
         raise ParameterOutOfDomain("samples must be positive")
     t = make_moebius(tau, 0j).tau
-    rng = rng_from_seed(seed)
-    worst = 0.0
-    for _ in range(samples):
-        pt = random_interior(rng)
-        lhs = evaluate_candidate(F, pt)
-        rhs = evaluate_candidate(F, SymPoint(t * pt.s, t * t * pt.p))
-        worst = max(worst, abs(t * lhs.s - rhs.s), abs(t * t * lhs.p - rhs.p))
-    return worst
+    pts = random_interior_points(rng_from_seed(seed), samples)
+    lhs = evaluate_candidate(F, pts)
+    rhs = evaluate_candidate(F, SymPoint(t * pts.s, t * t * pts.p))
+    return _max_distance(SymPoint(t * lhs.s, t * t * lhs.p), rhs)
 
 
 def weighted_form_extract(F: CandidateMap, tol: float = DEFAULT_TOL
@@ -270,16 +271,30 @@ def weighted_form_extract(F: CandidateMap, tol: float = DEFAULT_TOL
     return alpha, d, C
 
 
-def _royal_deviation(apply_fn: Callable[[SymPoint], SymPoint],
-                     samples: int, seed: int, max_radius: float = 0.9) -> float:
-    rng = rng_from_seed(seed)
-    worst = 0.0
-    for _ in range(samples):
-        lam = random_disc(rng, max_radius)
-        pt = SymPoint(2.0 * lam, lam * lam)
-        img = apply_fn(pt)
-        worst = max(worst, abs(img.s - pt.s), abs(img.p - pt.p))
-    return worst
+def _royal_points(samples: int, seed: int, max_radius: float = 0.9) -> SymPoint:
+    """Seeded royal points (2*lam, lam**2), |lam| < max_radius, as arrays in one SymPoint."""
+    lam = random_disc_points(rng_from_seed(seed), samples, max_radius)
+    return SymPoint(2.0 * lam, lam * lam)
+
+
+def _max_distance(a: SymPoint, b: SymPoint) -> float:
+    """Largest coordinate difference between two SymPoints of arrays; 0.0 when empty."""
+    import numpy as np
+
+    return float(max(np.max(abs(a.s - b.s), initial=0.0), np.max(abs(a.p - b.p), initial=0.0)))
+
+
+def _map_each(map_like: Callable[[SymPoint], SymPoint], pts: SymPoint) -> SymPoint:
+    """Images of the points held as arrays in pts, by one map call per point.
+
+    This is the only per-point loop the array code keeps: a black-box map takes one
+    SymPoint of complex scalars at a time. The images come back as complex128 arrays.
+    """
+    import numpy as np
+
+    images = [map_like(SymPoint(s, p)) for s, p in zip(pts.s.tolist(), pts.p.tolist())]
+    return SymPoint(np.array([q.s for q in images], dtype=complex),
+                    np.array([q.p for q in images], dtype=complex))
 
 
 def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL,
@@ -297,7 +312,8 @@ def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL,
         raise PreconditionUnmet(f"candidate is not rotation-commuting: {exc}") from exc
     if abs(alpha - 1.0) > tol or abs(d - 1.0) > tol:
         raise PreconditionUnmet(f"normalized form expected: alpha = {alpha}, d = {d}")
-    residual = _royal_deviation(F, samples, seed)
+    pts = _royal_points(samples, seed)
+    residual = _max_distance(pts, evaluate_candidate(F, pts))
     return residual <= tol, residual
 
 
@@ -335,13 +351,43 @@ def cartan_residual(map_like: Callable[[SymPoint], SymPoint], samples: int = 256
     is the identity: group elements with unipotent trivial Jacobian do not move any
     sample, while non-group candidates generally do. No theorem-level claim is made.
     """
-    rng = rng_from_seed(seed)
-    worst = 0.0
-    for _ in range(samples):
-        pt = random_interior(rng)
-        img = map_like(pt)
-        worst = max(worst, abs(img.s - pt.s), abs(img.p - pt.p))
-    return worst
+    pts = random_interior_points(rng_from_seed(seed), samples)
+    return _max_distance(pts, _map_each(map_like, pts))
+
+
+def _torus_grid() -> SymPoint:
+    """The torus grid as arrays: entry j*n + k has angles 2*pi*(j, k)/n, n = TORUS_POINTS."""
+    import numpy as np
+
+    n = TORUS_POINTS
+    rs, rp = TORUS_RADII
+    circle = np.exp(2j * math.pi * np.arange(n) / n)
+    return SymPoint(np.repeat(rs * circle, n), np.tile(rp * circle, n))
+
+
+def _check_extractable(at_origin: SymPoint, degree_cap: int) -> None:
+    if not 0 < degree_cap < TORUS_POINTS:
+        raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
+    if max(abs(at_origin.s), abs(at_origin.p)) > 1e-8:
+        raise PreconditionUnmet(f"map moves the origin to {at_origin}")
+
+
+def _taylor_readout(images: SymPoint, degree_cap: int) -> CandidateMap:
+    """fit_candidate's FFT readout from the map's values on _torus_grid()."""
+    import numpy as np
+
+    n = TORUS_POINTS
+    rs, rp = TORUS_RADII
+    js, ks = degree_cap + 1, degree_cap // 2 + 1
+    coef = np.fft.fft2(np.stack([images.s, images.p]).reshape(2, n, n))[:, :js, :ks]
+    S, P = (coef / (n * n)).tolist()
+    terms = {}
+    for k in range(ks):
+        for j in range(js - 2 * k):
+            scale = rs ** j * rp ** k
+            terms[(j, k)] = (S[j][k] / scale, P[j][k] / scale)
+    del terms[(0, 0)]  # the constant term is the origin image, checked beforehand
+    return make_candidate(terms, degree_cap)
 
 
 def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4) -> CandidateMap:
@@ -353,26 +399,8 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4)
     the coefficient of s**j * p**k. Only monomials with j + 2k <= degree_cap are kept,
     since higher ones would amplify rounding by r**-(j+2k).
     """
-    if not 0 < degree_cap < TORUS_POINTS:
-        raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
-    import numpy as np
-
-    at_origin = map_like(ORIGIN)
-    if max(abs(at_origin.s), abs(at_origin.p)) > 1e-8:
-        raise PreconditionUnmet(f"map moves the origin to {at_origin}")
-    n = TORUS_POINTS
-    rs, rp = TORUS_RADII
-    circle = [cmath.exp(2j * math.pi * m / n) for m in range(n)]
-    images = [map_like(SymPoint(rs * u, rp * v)) for u in circle for v in circle]
-    S = np.fft.fft2(np.array([q.s for q in images]).reshape(n, n)) / (n * n)
-    P = np.fft.fft2(np.array([q.p for q in images]).reshape(n, n)) / (n * n)
-    terms = {}
-    for k in range(degree_cap // 2 + 1):
-        for j in range(degree_cap - 2 * k + 1):
-            scale = rs ** j * rp ** k
-            terms[(j, k)] = (S[j, k] / scale, P[j, k] / scale)
-    del terms[(0, 0)]  # the constant term is the origin image, checked above
-    return make_candidate(terms, degree_cap)
+    _check_extractable(map_like(ORIGIN), degree_cap)
+    return _taylor_readout(_map_each(map_like, _torus_grid()), degree_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +429,11 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
 
     Every map, group element or black box alike, takes the same stages:
 
-      1. transport: move the image of the origin back to the origin with a royal
-         transport, composed after the map;
-      2. extraction: read the Taylor coefficients of the transported map once, by the
-         torus Cauchy integral of `fit_candidate`;
+      1. transport: find the royal transport that moves the image of the origin
+         back to the origin;
+      2. extraction: call the map once at each point of `fit_candidate`'s torus grid,
+         apply the transport to all the values at once, and read the Taylor
+         coefficients of the transported map by the torus Cauchy integral;
       3. rotation: take the unit rotation from the extracted s-coefficient of S (the
          Jacobian's (1,1) entry) and divide it out of the coefficient table, S terms
          by rot and P terms by rot**2;
@@ -412,7 +441,10 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
       5. royal check: check that royal points are fixed, which forces C = 0.
 
     A genuine group element comes out certified as the identity; a candidate with a
-    stray C survives extraction but fails the royal check.
+    stray C survives extraction but fails the royal check. The map is called once at
+    the origin and once per grid point (and once per royal point when the normalized
+    form is not (s, p + C*s**2)); everything after those calls runs on complex128
+    arrays.
 
     Raises NotWeightedHomogeneous when the normalized map does not commute with
     rotations, and PreconditionUnmet when the origin image is off the royal variety.
@@ -423,7 +455,10 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
         raise PreconditionUnmet(
             f"origin image {img} is off the royal variety (residual {residual})")
     transport = transport_to_origin(img, max(tol, 1e-8))
-    raw = fit_candidate(lambda pt: apply_g2(transport, map_like(pt)), degree_cap)
+    _check_extractable(apply_g2(transport, img), degree_cap)
+    grid = _map_each(map_like, _torus_grid())
+    S, P, _ = _lift_form(transport.h.tau, transport.h.a, grid.s, grid.p)
+    raw = _taylor_readout(SymPoint(S, P), degree_cap)
 
     m11 = origin_jacobian(raw).m11
     if abs(m11) < 0.1:
@@ -439,8 +474,10 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
     except PreconditionUnmet:
         royal_ok = False
         undo = compose_g2(rotation(rot_inv), transport)
-        royal_residual = _royal_deviation(lambda pt: apply_g2(undo, map_like(pt)),
-                                          samples=64, seed=11)
+        pts = _royal_points(64, 11)
+        moved = _map_each(map_like, pts)
+        S, P, _ = _lift_form(undo.h.tau, undo.h.a, moved.s, moved.p)
+        royal_residual = _max_distance(pts, SymPoint(S, P))
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(
         origin_image=img,

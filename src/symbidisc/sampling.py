@@ -3,6 +3,11 @@
 Every experiment in the package draws from these so that (seed, count) pins the
 result exactly. numpy is imported only when a generator is made, so that the
 modules importing this one stay numpy-free until they draw.
+
+The array draws take all their doubles with one rng.random((count, m)) call, whose
+row i holds the doubles the scalar draws would take for sample i, in the same order.
+The scalar draws random_unit, random_disc and random_moebius are their count-1
+cases, so each formula is written once.
 """
 
 from __future__ import annotations
@@ -23,15 +28,49 @@ def rng_from_seed(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _unit_points(u: np.ndarray) -> np.ndarray:
+    import numpy as np
+
+    theta = 2.0 * math.pi * u
+    return np.cos(theta) + 1j * np.sin(theta)
+
+
+def _disc_points(u: np.ndarray, max_radius: float) -> np.ndarray:
+    """Points of |z| < max_radius from rows (radius draw, angle draw) of u."""
+    import numpy as np
+
+    # sqrt of the uniform draw makes the sample area-uniform
+    return max_radius * np.sqrt(u[:, 0]) * _unit_points(u[:, 1])
+
+
 def random_unit(rng: np.random.Generator) -> complex:
-    theta = rng.uniform(0.0, 2.0 * math.pi)
-    return complex(math.cos(theta), math.sin(theta))
+    return complex(_unit_points(rng.random(1))[0])
+
+
+def random_disc_points(rng: np.random.Generator, count: int,
+                       max_radius: float = 0.999) -> np.ndarray:
+    """`count` seeded area-uniform points of |z| < max_radius, as a complex128 array."""
+    return _disc_points(rng.random((count, 2)), max_radius)
 
 
 def random_disc(rng: np.random.Generator, max_radius: float = 0.999) -> complex:
-    # sqrt of the uniform draw makes the sample area-uniform
-    r = max_radius * math.sqrt(rng.uniform(0.0, 1.0))
-    return r * random_unit(rng)
+    return complex(random_disc_points(rng, 1, max_radius)[0])
+
+
+def random_interior_points(rng: np.random.Generator, count: int,
+                           max_radius: float = 0.999) -> SymPoint:
+    """`count` seeded interior points, as one SymPoint of complex128 arrays.
+
+    Row i of one rng.random((count, 4)) draw holds r1, theta1, r2, theta2: the doubles
+    random_interior draws for sample i. The products lam1*lam2 round as numpy's
+    complex multiply does, so p may differ from random_interior's in the last bit.
+    """
+    u = rng.random((count, 4))
+    return symmetrize(_disc_points(u[:, :2], max_radius), _disc_points(u[:, 2:], max_radius))
+
+
+def random_interior(rng: np.random.Generator, max_radius: float = 0.999) -> SymPoint:
+    return symmetrize(random_disc(rng, max_radius), random_disc(rng, max_radius))
 
 
 def random_moebius_params(rng: np.random.Generator, count: int,
@@ -43,18 +82,10 @@ def random_moebius_params(rng: np.random.Generator, count: int,
     by random_disc would draw for element i. make_moebius, or its checks on arrays,
     validates the result.
     """
-    import numpy as np
-
     u = rng.random((count, 3))
-    theta = 2.0 * math.pi * u[:, 0::2]
-    unit = np.cos(theta) + 1j * np.sin(theta)
-    return unit[:, 0], max_a * np.sqrt(u[:, 1]) * unit[:, 1]
+    return _unit_points(u[:, 0]), _disc_points(u[:, 1:], max_a)
 
 
 def random_moebius(rng: np.random.Generator, max_a: float = 0.95) -> DiscAutomorphism:
     tau, a = random_moebius_params(rng, 1, max_a)
     return make_moebius(tau[0], a[0])
-
-
-def random_interior(rng: np.random.Generator, max_radius: float = 0.999) -> SymPoint:
-    return symmetrize(random_disc(rng, max_radius), random_disc(rng, max_radius))

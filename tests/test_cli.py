@@ -1,12 +1,15 @@
+import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from symbidisc.cli import CSV_HEADER, main
 
@@ -241,3 +244,62 @@ def test_scalar_commands_do_not_import_numpy():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 3
+
+
+# ---------------------------------------------------------------------------
+# Exit-code properties: bad numbers never reach stdout
+# ---------------------------------------------------------------------------
+
+def run_quiet(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+# Each template puts the value X in one numeric slot of a subcommand's input.
+TEMPLATES = {
+    "membership_s": lambda x: ("membership", f'{{"s": {x}, "p": 0.1}}'),
+    "membership_p_im": lambda x: ("membership", f'{{"s": 0.1, "p": {{"re": 0, "im": {x}}}}}'),
+    "membership_tol": lambda x: ("membership", point(0.1, 0), "--tol", x),
+    "apply_tau": lambda x: ("apply", f'{{"h": {{"tau": {x}, "a": 0.2}}}}', point(0.1, 0)),
+    "apply_a": lambda x: ("apply", f'{{"h": {{"tau": 1, "a": {{"re": 0.1, "im": {x}}}}}}}',
+                          point(0.1, 0)),
+    "apply_point": lambda x: ("apply", IDENTITY_AUTO, f'{{"s": 0.1, "p": {x}}}'),
+    "transport_s": lambda x: ("transport", f'{{"s": {x}, "p": 0.25}}'),
+    "transport_tol": lambda x: ("transport", point(1.0, 0.25), "--tol", x),
+    "orbit_p": lambda x: ("orbit", f'{{"s": 0.1, "p": {x}}}', "--samples", "3"),
+    "orbit_json": lambda x: ("orbit", f'{{"s": {x}, "p": 0}}', "--samples", "3",
+                             "--format", "json"),
+    "commutator_term": lambda x: ("commutator", '{"terms": [{"j": 1, "k": 0, "S": 1, "P": 0}, '
+                                  f'{{"j": 0, "k": 1, "S": 0, "P": {x}}}]}}', "--tau", "-1"),
+    "commutator_tau": lambda x: ("commutator", IDENTITY_CANDIDATE, "--tau", x),
+}
+EXIT_CODES = {"membership": {0, 1, 2}, "apply": {0}, "transport": {0, 3},
+              "orbit": {0}, "commutator": {0, 4}}
+BAD_NUMBER = re.compile(r"nan|inf", re.IGNORECASE)
+NON_FINITE = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" + "0" * 400, "nan", "inf"]
+
+
+extreme_floats = st.one_of(
+    st.floats(min_value=1e150, max_value=1.7976931348623157e308),
+    st.floats(min_value=-1.7976931348623157e308, max_value=-1e150),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(sorted(TEMPLATES)), st.sampled_from(NON_FINITE))
+def test_non_finite_input_exits_64_or_65(template, bad):
+    code, out = run_quiet(*TEMPLATES[template](bad))
+    assert code in (64, 65)
+    assert not BAD_NUMBER.search(out), out
+
+
+@settings(max_examples=50)
+@given(st.sampled_from(sorted(TEMPLATES)), extreme_floats)
+def test_extreme_input_exits_as_documented(template, x):
+    argv = TEMPLATES[template](repr(x))
+    code, out = run_quiet(*argv)
+    assert code in EXIT_CODES[argv[0]] | {64, 65}
+    assert not BAD_NUMBER.search(out), out

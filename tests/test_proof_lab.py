@@ -11,6 +11,7 @@ from symbidisc import (
     NotWeightedHomogeneous,
     ORIGIN,
     ParameterOutOfDomain,
+    PoleEncountered,
     PreconditionUnmet,
     SingularJacobian,
     SymPoint,
@@ -19,6 +20,7 @@ from symbidisc import (
     cauchy_bound_check,
     commutator_experiment,
     commutator_jacobian,
+    compose_g2,
     desymmetrize,
     evaluate_candidate,
     fit_candidate,
@@ -36,10 +38,19 @@ from symbidisc import (
     rotation,
     rotation_commutation_residual,
     symmetrize,
+    transport_to_origin,
     weighted_form_extract,
 )
 from symbidisc import proof_lab
-from symbidisc.sampling import random_disc, random_interior, random_moebius, random_unit, rng_from_seed
+from symbidisc.sampling import (
+    random_disc,
+    random_disc_points,
+    random_interior,
+    random_interior_points,
+    random_moebius,
+    random_unit,
+    rng_from_seed,
+)
 
 
 def shear(b, d, cap=4):
@@ -420,3 +431,185 @@ class TestPipeline:
             assert abs(J.m12) <= 1e-8
             n_star, _ = cauchy_bound_check(J.m12, random_unit(rng))
             assert n_star is None
+
+
+# ---------------------------------------------------------------------------
+# The array pipeline against the per-point loops it replaced
+# ---------------------------------------------------------------------------
+
+def reference_royal_points(samples=64, seed=11):
+    """The royal points as the scalar loop drew them, one random_disc at a time."""
+    rng = rng_from_seed(seed)
+    lams = [random_disc(rng, 0.9) for _ in range(samples)]
+    return [SymPoint(2.0 * lam, lam * lam) for lam in lams]
+
+
+def reference_pipeline(map_like, tol=1e-8):
+    """normalize_and_extract's raw coefficient table and royal residual, per point.
+
+    Every map value is transported by a scalar apply_g2 call and every royal point
+    is evaluated one at a time, as before the array pipeline.
+    """
+    img = map_like(ORIGIN)
+    transport = transport_to_origin(img, tol)
+    n, (rs, rp) = proof_lab.TORUS_POINTS, proof_lab.TORUS_RADII
+    circle = [cmath.exp(2j * math.pi * m / n) for m in range(n)]
+    values = [apply_g2(transport, map_like(SymPoint(rs * u, rp * v)))
+              for u in circle for v in circle]
+    S = np.fft.fft2(np.array([q.s for q in values]).reshape(n, n)) / (n * n)
+    P = np.fft.fft2(np.array([q.p for q in values]).reshape(n, n)) / (n * n)
+    table = {(j, k): (S[j, k] / (rs ** j * rp ** k), P[j, k] / (rs ** j * rp ** k))
+             for k in range(3) for j in range(5 - 2 * k) if (j, k) != (0, 0)}
+    m11 = table[(1, 0)][0]
+    rot_inv = (m11 / abs(m11)).conjugate()
+    fitted = make_candidate({key: (rot_inv * cs, rot_inv * rot_inv * cp)
+                             for key, (cs, cp) in table.items()})
+    alpha, d, _ = weighted_form_extract(fitted, tol)
+    if abs(alpha - 1) <= tol and abs(d - 1) <= tol:
+        moved = [evaluate_candidate(fitted, pt) for pt in reference_royal_points()]
+    else:
+        undo = compose_g2(rotation(rot_inv), transport)
+        moved = [apply_g2(undo, map_like(pt)) for pt in reference_royal_points()]
+    residual = max(max(abs(q.s - pt.s), abs(q.p - pt.p))
+                   for q, pt in zip(moved, reference_royal_points()))
+    return table, residual
+
+
+def _seeded_elements(seed, count):
+    rng = rng_from_seed(seed)
+    return [lift(random_moebius(rng)) for _ in range(count)]
+
+
+def _injected(H, C):
+    return lambda q: apply_g2(H, SymPoint(q.s, q.p + C * q.s * q.s))
+
+
+def _halving(H):
+    # weighted-homogeneous but d = 1/2 after normalisation, so force_c_zero refuses it
+    # and the royal check falls back to calling the map
+    return lambda q: apply_g2(H, SymPoint(q.s, 0.5 * q.p))
+
+
+PIPELINE_MAPS = {
+    "group_element": _seeded_elements(60, 6),
+    "black_box": [lambda q, H=H: apply_g2(H, q) for H in _seeded_elements(61, 6)],
+    "injected": [_injected(H, C) for H, C in zip(_seeded_elements(62, 6),
+                                                   (0.05, 0.1, 0.2, 0.3, 0.4, 0.5))],
+    "fallback": [_halving(H) for H in _seeded_elements(63, 6)],
+}
+
+
+def _pole(q):
+    raise PoleEncountered(f"{q} is a pole of the map")
+
+
+class TestArrayPipeline:
+    def test_royal_points_match_scalar_draws(self):
+        # the one-array draw takes the doubles the 64 random_disc calls took, in order
+        rng = rng_from_seed(11)
+        expected = [random_disc(rng, 0.9) for _ in range(64)]
+        rng = rng_from_seed(11)
+        loop = []
+        for _ in range(64):  # the scalar formula, written out
+            r = 0.9 * math.sqrt(rng.uniform(0.0, 1.0))
+            theta = rng.uniform(0.0, 2.0 * math.pi)
+            loop.append(r * complex(math.cos(theta), math.sin(theta)))
+        assert random_disc_points(rng_from_seed(11), 64, 0.9).tolist() == expected == loop
+        pts = proof_lab._royal_points(64, 11)
+        assert pts.s.tolist() == [2.0 * lam for lam in expected]
+        # numpy's complex product may round lam*lam differently in the last bit
+        assert max(abs(p - lam * lam) for p, lam in zip(pts.p.tolist(), expected)) <= 4e-16
+
+    def test_interior_points_match_scalar_draws(self):
+        rng = rng_from_seed(12)
+        expected = [random_interior(rng) for _ in range(200)]
+        pts = random_interior_points(rng_from_seed(12), 200)
+        assert pts.s.tolist() == [q.s for q in expected]
+        # numpy's complex product may round lam1*lam2 differently in the last bit
+        assert max(abs(p - q.p) for p, q in zip(pts.p.tolist(), expected)) <= 4e-16
+
+    @pytest.mark.parametrize("kind", list(PIPELINE_MAPS))
+    def test_matches_per_point_reference(self, monkeypatch, kind):
+        tables = []
+        readout = proof_lab._taylor_readout
+        monkeypatch.setattr(proof_lab, "_taylor_readout",
+                            lambda images, cap: tables.append(readout(images, cap)) or tables[-1])
+        for map_like in PIPELINE_MAPS[kind]:
+            report = normalize_and_extract(map_like)
+            table, residual = reference_pipeline(map_like)
+            # numpy and Python divide complex numbers with different rounding, and the
+            # transport amplifies rounding by up to 1/(1 - |a|**2)**2 (see _lift_form)
+            bound = 1e-14 / (1.0 - abs(report.transport_param) ** 2) ** 2
+            assert abs(report.royal_residual - residual) <= bound
+            raw = tables[-1].terms
+            assert raw.keys() == table.keys()
+            assert max(max(abs(raw[key][0] - cs), abs(raw[key][1] - cp))
+                       for key, (cs, cp) in table.items()) <= bound
+        assert len(tables) == len(PIPELINE_MAPS[kind])
+
+    def test_fallback_and_injected_paths_are_taken(self):
+        for map_like in PIPELINE_MAPS["fallback"]:
+            report = normalize_and_extract(map_like)
+            assert not report.royal_ok and abs(report.d - 0.5) <= 1e-8
+        for map_like in PIPELINE_MAPS["injected"]:
+            assert not normalize_and_extract(map_like).royal_ok
+
+    def test_map_called_once_per_point(self):
+        calls = []
+        H = _seeded_elements(64, 1)[0]
+
+        def counting(q):
+            calls.append(q)
+            return apply_g2(H, q)
+
+        assert normalize_and_extract(counting).identity_certified
+        n = proof_lab.TORUS_POINTS
+        assert len(calls) == 1 + n * n  # the origin, then the torus grid
+
+    @pytest.mark.parametrize("failure,error", [
+        (_pole, PoleEncountered),
+        # (2, 0) sits on the zero set of the transport's denominator 1 - s/2 + p/4
+        (lambda q: SymPoint(2.0, 0.0), DenominatorDegenerate),
+    ], ids=["map_raises", "degenerate_transport"])
+    def test_failure_on_a_grid_point_propagates(self, failure, error):
+        # the origin goes to the royal point (1, 1/4), so the transport has a = 1/2;
+        # the tenth grid point fails
+        calls = []
+
+        def map_like(q):
+            calls.append(q)
+            return SymPoint(1.0, 0.25) if len(calls) != 11 else failure(q)
+
+        with pytest.raises(error):
+            normalize_and_extract(map_like)
+        # the scalar transport of that value fails the same way
+        if error is DenominatorDegenerate:
+            with pytest.raises(error):
+                apply_g2(transport_to_origin(SymPoint(1.0, 0.25)), failure(ORIGIN))
+
+
+class TestArrayResiduals:
+    def test_rotation_residual_matches_per_point_loop(self):
+        F = make_candidate({(1, 0): (1, 0.2), (0, 1): (0.3, 1), (2, 0): (0.1j, 0.4), (1, 1): (0, 0.5)})
+        for tau in (1j, -1, cmath.exp(0.7j)):
+            rng = rng_from_seed(3)
+            worst = 0.0
+            for _ in range(100):
+                pt = random_interior(rng)
+                lhs = evaluate_candidate(F, pt)
+                rhs = evaluate_candidate(F, SymPoint(tau * pt.s, tau * tau * pt.p))
+                worst = max(worst, abs(tau * lhs.s - rhs.s), abs(tau * tau * lhs.p - rhs.p))
+            assert abs(rotation_commutation_residual(F, tau, 100, 3) - worst) <= 1e-14
+
+    def test_cartan_residual_matches_per_point_loop(self):
+        for map_like in (homogeneous(1, 1, 0.5), lift(make_moebius(1j, 0.3))):
+            rng = rng_from_seed(4)
+            worst = 0.0
+            for _ in range(100):
+                pt = random_interior(rng)
+                img = map_like(pt)
+                worst = max(worst, abs(img.s - pt.s), abs(img.p - pt.p))
+            assert abs(cartan_residual(map_like, 100, 4) - worst) <= 1e-14
+
+    def test_cartan_residual_of_no_samples_is_zero(self):
+        assert cartan_residual(homogeneous(1, 1, 0.5), 0, 0) == 0.0
