@@ -74,12 +74,18 @@ def _lift_form(tau, a, s, p):
 
     Arrays hold one group element or one point per entry and broadcast against each
     other. Returns (S, P, den); raises DenominatorDegenerate before dividing when
-    any |den| is below DENOM_THRESHOLD.
+    any |den| is below DENOM_THRESHOLD. On arrays a NaN entry is skipped, as the
+    scalar form lets it through, so that it cannot hide a degenerate entry.
     """
     ac = a.conjugate()
     den = 1.0 - ac * s + ac * ac * p
     mod = abs(den)
-    smallest = mod if isinstance(mod, float) else mod.min()
+    if isinstance(mod, float):
+        smallest = mod
+    else:
+        import numpy as np
+
+        smallest = np.fmin.reduce(mod, axis=None)  # fmin, unlike min, passes over NaN
     if smallest < DENOM_THRESHOLD:
         raise DenominatorDegenerate(f"denominator {smallest} below {DENOM_THRESHOLD}")
     # grouped so that both numerators cancel exactly at the map's own royal point

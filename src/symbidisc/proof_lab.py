@@ -271,9 +271,9 @@ def weighted_form_extract(F: CandidateMap, tol: float = DEFAULT_TOL
     return alpha, d, C
 
 
-def _royal_points(samples: int, seed: int, max_radius: float = 0.9) -> SymPoint:
-    """Seeded royal points (2*lam, lam**2), |lam| < max_radius, as arrays in one SymPoint."""
-    lam = random_disc_points(rng_from_seed(seed), samples, max_radius)
+def _royal_points(samples: int, seed: int) -> SymPoint:
+    """Seeded royal points (2*lam, lam**2), |lam| < 0.9, as arrays in one SymPoint."""
+    lam = random_disc_points(rng_from_seed(seed), samples, 0.9)
     return SymPoint(2.0 * lam, lam * lam)
 
 
@@ -306,6 +306,8 @@ def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL,
     verdict is True iff it stays within tol. Requires the extracted form to have
     alpha = 1 and d = 1 to tol.
     """
+    if samples < 0:
+        raise ParameterOutOfDomain(f"sample count {samples} must not be negative")
     try:
         alpha, d, _ = weighted_form_extract(F, tol)
     except NotWeightedHomogeneous as exc:
@@ -351,6 +353,8 @@ def cartan_residual(map_like: Callable[[SymPoint], SymPoint], samples: int = 256
     is the identity: group elements with unipotent trivial Jacobian do not move any
     sample, while non-group candidates generally do. No theorem-level claim is made.
     """
+    if samples < 0:
+        raise ParameterOutOfDomain(f"sample count {samples} must not be negative")
     pts = random_interior_points(rng_from_seed(seed), samples)
     return _max_distance(pts, _map_each(map_like, pts))
 
@@ -456,9 +460,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
             f"origin image {img} is off the royal variety (residual {residual})")
     transport = transport_to_origin(img, max(tol, 1e-8))
     _check_extractable(apply_g2(transport, img), degree_cap)
-    grid = _map_each(map_like, _torus_grid())
-    S, P, _ = _lift_form(transport.h.tau, transport.h.a, grid.s, grid.p)
-    raw = _taylor_readout(SymPoint(S, P), degree_cap)
+    raw = _taylor_readout(apply_g2(transport, _map_each(map_like, _torus_grid())), degree_cap)
 
     m11 = origin_jacobian(raw).m11
     if abs(m11) < 0.1:
@@ -475,9 +477,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
         royal_ok = False
         undo = compose_g2(rotation(rot_inv), transport)
         pts = _royal_points(64, 11)
-        moved = _map_each(map_like, pts)
-        S, P, _ = _lift_form(undo.h.tau, undo.h.a, moved.s, moved.p)
-        royal_residual = _max_distance(pts, SymPoint(S, P))
+        royal_residual = _max_distance(pts, apply_g2(undo, _map_each(map_like, pts)))
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(
         origin_image=img,

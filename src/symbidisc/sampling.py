@@ -57,16 +57,15 @@ def random_disc(rng: np.random.Generator, max_radius: float = 0.999) -> complex:
     return complex(random_disc_points(rng, 1, max_radius)[0])
 
 
-def random_interior_points(rng: np.random.Generator, count: int,
-                           max_radius: float = 0.999) -> SymPoint:
+def random_interior_points(rng: np.random.Generator, count: int) -> SymPoint:
     """`count` seeded interior points, as one SymPoint of complex128 arrays.
 
     Row i of one rng.random((count, 4)) draw holds r1, theta1, r2, theta2: the doubles
-    random_interior draws for sample i. The products lam1*lam2 round as numpy's
+    random_interior(rng) draws for sample i. The products lam1*lam2 round as numpy's
     complex multiply does, so p may differ from random_interior's in the last bit.
     """
     u = rng.random((count, 4))
-    return symmetrize(_disc_points(u[:, :2], max_radius), _disc_points(u[:, 2:], max_radius))
+    return symmetrize(_disc_points(u[:, :2], 0.999), _disc_points(u[:, 2:], 0.999))
 
 
 def random_interior(rng: np.random.Generator, max_radius: float = 0.999) -> SymPoint:

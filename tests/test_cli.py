@@ -288,8 +288,8 @@ extreme_floats = st.one_of(
 )
 
 
-@settings(max_examples=50)
-@given(st.sampled_from(sorted(TEMPLATES)), st.sampled_from(NON_FINITE))
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("template", sorted(TEMPLATES))
 def test_non_finite_input_exits_64_or_65(template, bad):
     code, out = run_quiet(*TEMPLATES[template](bad))
     assert code in (64, 65)

@@ -587,6 +587,19 @@ class TestArrayPipeline:
             with pytest.raises(error):
                 apply_g2(transport_to_origin(SymPoint(1.0, 0.25)), failure(ORIGIN))
 
+    def test_nan_on_a_grid_point_does_not_hide_a_degenerate_one(self):
+        # one grid value is NaN and a later one sits on the transport's pole (2, 0);
+        # the scalar transport passes the NaN through and raises on the pole
+        calls = []
+
+        def map_like(q):
+            calls.append(q)
+            return {6: SymPoint(complex("nan"), 0.0),
+                    11: SymPoint(2.0, 0.0)}.get(len(calls), SymPoint(1.0, 0.25))
+
+        with pytest.raises(DenominatorDegenerate):
+            normalize_and_extract(map_like)
+
 
 class TestArrayResiduals:
     def test_rotation_residual_matches_per_point_loop(self):
@@ -613,3 +626,10 @@ class TestArrayResiduals:
 
     def test_cartan_residual_of_no_samples_is_zero(self):
         assert cartan_residual(homogeneous(1, 1, 0.5), 0, 0) == 0.0
+
+    def test_negative_sample_counts_are_rejected(self):
+        with pytest.raises(ParameterOutOfDomain):
+            cartan_residual(homogeneous(1, 1, 0.5), -1, 0)
+        with pytest.raises(ParameterOutOfDomain):
+            force_c_zero(identity_candidate(), samples=-1)
+        assert force_c_zero(identity_candidate(), samples=0) == (True, 0.0)
