@@ -169,7 +169,7 @@ def _build_parser() -> _Parser:
 
     p = add("orbit", _cmd_orbit, "images of a point under seeded random group elements")
     p.add_argument("point", help="point JSON (or '-' for stdin)")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_count_from(0), default=42)
     p.add_argument("--samples", type=_count_from(0), default=1000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Mapping
+from typing import Callable, Mapping
 
 from .errors import (
     NotWeightedHomogeneous,
@@ -53,9 +53,6 @@ from .sampling import (
 )
 from .sym_geometry import ORIGIN, SymPoint, in_g2, in_sigma2
 
-if TYPE_CHECKING:  # numpy is imported where it is used, so the scalar CLI commands skip it
-    import numpy as np
-
 # Schwarz-lemma constant: p -> S(0, p) is holomorphic on |p| < 1 (the points (0, p)
 # have roots of modulus sqrt(|p|), hence lie in the domain), is bounded by sup|S| <= 2,
 # and vanishes at 0, so its derivative at 0 -- and every iterate's corner entry -- is
@@ -73,6 +70,10 @@ NO_GROWTH_THRESHOLD = 1e-12
 # j + 2k <= 4, so rounding noise is barely amplified.
 TORUS_RADII = (0.5, 0.25)
 TORUS_POINTS = 16
+
+# The royal check's seeded sample, for the extracted candidate and for the map itself.
+ROYAL_SAMPLES = 64
+ROYAL_SEED = 11
 
 
 # ---------------------------------------------------------------------------
@@ -144,19 +145,23 @@ def origin_jacobian(F: CandidateMap) -> Jacobian2:
 # Commutator Jacobians and the growth bound forcing b = 0
 # ---------------------------------------------------------------------------
 
-def _to_array(J: Jacobian2) -> np.ndarray:
-    import numpy as np
-
-    return np.array([[J.m11, J.m12], [J.m21, J.m22]], dtype=complex)
-
-
-def _from_array(A: np.ndarray) -> Jacobian2:
-    return Jacobian2(complex(A[0, 0]), complex(A[0, 1]), complex(A[1, 0]), complex(A[1, 1]))
+def _product(A: Jacobian2, B: Jacobian2) -> Jacobian2:
+    return Jacobian2(A.m11 * B.m11 + A.m12 * B.m21, A.m11 * B.m12 + A.m12 * B.m22,
+                     A.m21 * B.m11 + A.m22 * B.m21, A.m21 * B.m12 + A.m22 * B.m22)
 
 
-def _check_normalized(J: Jacobian2) -> None:
-    if abs(J.m11 - 1.0) > 1e-8 or abs(J.m21) > 1e-8:
-        raise NotNormalized(f"origin Jacobian {J} is not of the form [[1, b], [0, d]]")
+def _power(G: Jacobian2, n: int) -> Jacobian2:
+    """G**n by binary powering: one squaring per bit of n, so a huge n stays cheap."""
+    if n < 1:
+        raise ParameterOutOfDomain(f"iteration count {n} must be positive")
+    result = None
+    while True:
+        if n & 1:
+            result = G if result is None else _product(result, G)
+        n >>= 1
+        if not n:
+            return result
+        G = _product(G, G)
 
 
 def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
@@ -165,28 +170,21 @@ def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
     For J = [[1, b], [0, d]] the product collapses to [[1, b*(tau-1)], [0, 1]]: the
     commutator is unipotent no matter what d is.
     """
-    import numpy as np
-
     t = make_moebius(tau, 0j).tau
-    _check_normalized(J)
-    A = _to_array(J)
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    if abs(J.m11 - 1.0) > 1e-8 or abs(J.m21) > 1e-8:
+        raise NotNormalized(f"origin Jacobian {J} is not of the form [[1, b], [0, d]]")
+    det = J.m11 * J.m22 - J.m12 * J.m21
     if abs(det) <= 1e-12:
         raise SingularJacobian(f"|det| = {abs(det)} below 1e-12")
-    inv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]], dtype=complex) / det
-    before = np.diag([t, t * t])
-    after = np.diag([1.0 / t, 1.0 / (t * t)])
-    return _from_array(inv @ after @ A @ before)
+    inv = Jacobian2(J.m22 / det, -J.m12 / det, -J.m21 / det, J.m11 / det)
+    before = Jacobian2(t, 0j, 0j, t * t)
+    after = Jacobian2(1.0 / t, 0j, 0j, 1.0 / (t * t))
+    return _product(_product(_product(inv, after), J), before)
 
 
 def iterate_commutator(J: Jacobian2, tau: complex, n: int) -> Jacobian2:
     """n-th matrix power of the commutator Jacobian; corner entry is n*b*(tau-1)."""
-    if n < 1:
-        raise ParameterOutOfDomain(f"iteration count {n} must be positive")
-    import numpy as np
-
-    G = _to_array(commutator_jacobian(J, tau))
-    return _from_array(np.linalg.matrix_power(G, n))
+    return _power(commutator_jacobian(J, tau), n)
 
 
 def cauchy_bound_check(b: complex, tau: complex) -> tuple[int | None, float]:
@@ -224,7 +222,7 @@ def commutator_experiment(F: CandidateMap, tau: complex, n_max: int = 64) -> Com
     t = make_moebius(tau, 0j).tau
     J = origin_jacobian(F)
     G = commutator_jacobian(J, t)
-    iterated = iterate_commutator(J, t, n_max)
+    iterated = _power(G, n_max)
     expected = n_max * J.m12 * (t - 1.0)
     if abs(iterated.m12 - expected) > 1e-6 * max(1.0, abs(expected)):
         raise ArithmeticError(
@@ -298,7 +296,7 @@ def _map_each(map_like: Callable[[SymPoint], SymPoint], pts: SymPoint) -> SymPoi
 
 
 def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL,
-                 samples: int = 64, seed: int = 11) -> tuple[bool, float]:
+                 samples: int = ROYAL_SAMPLES, seed: int = ROYAL_SEED) -> tuple[bool, float]:
     """Check that F fixes royal points, which kills the remaining s**2 coefficient.
 
     On (2*lam, lam**2) a map (s, p + C*s**2) moves the p-coordinate by 4*C*lam**2,
@@ -476,7 +474,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
     except PreconditionUnmet:
         royal_ok = False
         undo = compose_g2(rotation(rot_inv), transport)
-        pts = _royal_points(64, 11)
+        pts = _royal_points(ROYAL_SAMPLES, ROYAL_SEED)
         royal_residual = _max_distance(pts, apply_g2(undo, _map_each(map_like, pts)))
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(

@@ -192,6 +192,22 @@ class TestCommutator:
         code, _, err = run(capsys, "commutator", cand, "--tau", "-1")
         assert code == 65 and err != ""
 
+    def test_output_bytes_are_pinned(self, capsys):
+        # tau = exp(0.9i) and a complex d leave rounding-level digits in jacobian_of_G,
+        # so any change to the order or kind of its 2x2 arithmetic changes these bytes
+        cand = json.dumps({"degree_cap": 4, "terms": [
+            {"j": 0, "k": 1, "S": 0.7, "P": {"re": 0.5, "im": 0.3}},
+            {"j": 1, "k": 0, "S": 1, "P": 0}]})
+        tau = '{"re": 0.6216099682706644, "im": 0.7833269096274834}'
+        code, out, _ = run(capsys, "commutator", cand, "--tau", tau)
+        assert code == 4
+        assert out == (
+            '{"tau":{"re":0.6216099682706644,"im":0.7833269096274834},"b":{"re":0.7,"im":0.0},'
+            '"jacobian_of_G":[[{"re":1.0,"im":0.0},'
+            '{"re":-0.2648730222105349,"im":0.5483288367392385}],'
+            '[{"re":0.0,"im":0.0},{"re":1.0000000000000002,"im":0.0}]],'
+            '"n_star":4,"bound":2.0}\n')
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
@@ -213,6 +229,7 @@ class TestDeterminism:
         for argv in [
             ("orbit",),  # missing point argument
             ("orbit", point(0, 0), "--samples", "-5"),
+            ("orbit", point(0, 0), "--seed", "-1"),
             ("commutator", IDENTITY_CANDIDATE, "--tau", "-1", "--n-max", "0"),
             ("membership", '{"s": NaN, "p": 0}'),
             ("apply", '{"h": {"tau": 1, "a": NaN}}', point(0, 0)),
@@ -237,13 +254,14 @@ def test_scalar_commands_do_not_import_numpy():
         "main(['membership', '{\"s\": 0.9, \"p\": 0.2}'])",
         "main(['apply', '{\"h\": {\"tau\": 1, \"a\": 0.4}}', '{\"s\": 0.8, \"p\": 0.16}'])",
         "main(['transport', '{\"s\": 1.0, \"p\": 0.25}'])",
+        f"main(['commutator', {SHEAR_CANDIDATE!r}, '--tau', '-1'])",
         "assert 'numpy' not in sys.modules, 'numpy was imported'",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 3
+    assert len(proc.stdout.splitlines()) == 4
 
 
 # ---------------------------------------------------------------------------
