@@ -43,7 +43,6 @@ from .proof_lab import (
     CandidateMap,
     CommutatorReport,
     PipelineReport,
-    cartan_residual,
     cauchy_bound_check,
     commutator_experiment,
     commutator_jacobian,
@@ -73,60 +72,3 @@ from .sym_geometry import (
 )
 
 __version__ = "0.3.0"
-
-__all__ = [
-    "DiscAutomorphism",
-    "G2Automorphism",
-    "Jacobian2",
-    "CandidateMap",
-    "CommutatorReport",
-    "PipelineReport",
-    "SymPoint",
-    "RootPair",
-    "MembershipVerdict",
-    "ORIGIN",
-    "make_moebius",
-    "identity",
-    "apply_moebius",
-    "compose",
-    "invert",
-    "moebius_equal",
-    "symmetrize",
-    "desymmetrize",
-    "in_disc",
-    "in_g2",
-    "in_sigma2",
-    "royal_param",
-    "lift",
-    "apply_g2",
-    "apply_g2_via_roots",
-    "compose_g2",
-    "invert_g2",
-    "rotation",
-    "g2_equal",
-    "transport_to_origin",
-    "jacobian_at",
-    "make_candidate",
-    "identity_candidate",
-    "evaluate_candidate",
-    "origin_jacobian",
-    "commutator_jacobian",
-    "iterate_commutator",
-    "cauchy_bound_check",
-    "commutator_experiment",
-    "rotation_commutation_residual",
-    "weighted_form_extract",
-    "force_c_zero",
-    "orbit_sample",
-    "cartan_residual",
-    "fit_candidate",
-    "normalize_and_extract",
-    "ParameterOutOfDomain",
-    "PoleEncountered",
-    "DenominatorDegenerate",
-    "NotOnRoyalVariety",
-    "SingularJacobian",
-    "NotNormalized",
-    "NotWeightedHomogeneous",
-    "PreconditionUnmet",
-]

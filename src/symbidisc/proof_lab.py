@@ -22,9 +22,12 @@ way for every map: the trapezoidal-rule Cauchy integral over a torus inside the
 domain, i.e. a 2-D FFT of the map's values on a grid of that torus. For a map
 analytic on the domain this converges geometrically in the grid size (Bornemann,
 Found. Comput. Math. 11, 2011; Trefethen & Weideman, SIAM Rev. 56, 2014), and on a
-polynomial of low enough degree it is exact up to rounding. Orbit sampling
-supplies the evidence-level companion: origin orbits stay on the royal variety,
-non-royal orbits stay off it.
+polynomial of low enough degree it is exact up to rounding. Every map it takes
+works as a numpy ufunc does: it gets one SymPoint whose coordinates are complex
+scalars or complex128 arrays and returns a SymPoint of the same shape, so the whole
+torus grid goes through the map in one call (wrap a scalar-only callable with
+np.vectorize). Orbit sampling supplies the evidence-level companion: origin orbits
+stay on the royal variety, non-royal orbits stay off it.
 
 Everything here is seeded and deterministic; experiment results are pinned by
 (seed, count) alone.
@@ -224,7 +227,8 @@ def commutator_experiment(F: CandidateMap, tau: complex, n_max: int = 64) -> Com
     G = commutator_jacobian(J, t)
     iterated = _power(G, n_max)
     expected = n_max * J.m12 * (t - 1.0)
-    if abs(iterated.m12 - expected) > 1e-6 * max(1.0, abs(expected)):
+    # negated, so that an iterate that overflowed to NaN fails the test
+    if not abs(iterated.m12 - expected) <= 1e-6 * max(1.0, abs(expected)):
         raise ArithmeticError(
             f"iterated corner entry {iterated.m12} drifted from {expected}")
     n_star, bound = cauchy_bound_check(J.m12, t)
@@ -282,19 +286,6 @@ def _max_distance(a: SymPoint, b: SymPoint) -> float:
     return float(max(np.max(abs(a.s - b.s), initial=0.0), np.max(abs(a.p - b.p), initial=0.0)))
 
 
-def _map_each(map_like: Callable[[SymPoint], SymPoint], pts: SymPoint) -> SymPoint:
-    """Images of the points held as arrays in pts, by one map call per point.
-
-    This is the only per-point loop the array code keeps: a black-box map takes one
-    SymPoint of complex scalars at a time. The images come back as complex128 arrays.
-    """
-    import numpy as np
-
-    images = [map_like(SymPoint(s, p)) for s, p in zip(pts.s.tolist(), pts.p.tolist())]
-    return SymPoint(np.array([q.s for q in images], dtype=complex),
-                    np.array([q.p for q in images], dtype=complex))
-
-
 def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL,
                  samples: int = ROYAL_SAMPLES, seed: int = ROYAL_SEED) -> tuple[bool, float]:
     """Check that F fixes royal points, which kills the remaining s**2 coefficient.
@@ -318,7 +309,7 @@ def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL,
 
 
 # ---------------------------------------------------------------------------
-# Orbits, displacement diagnostics, and Taylor extraction
+# Orbits and Taylor extraction
 # ---------------------------------------------------------------------------
 
 def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
@@ -343,20 +334,6 @@ def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
     return [SymPoint(s, p) for s, p in zip(S.tolist(), P.tolist())]
 
 
-def cartan_residual(map_like: Callable[[SymPoint], SymPoint], samples: int = 256,
-                    seed: int = 0) -> float:
-    """Max displacement of seeded interior samples; zero when the map is the identity.
-
-    Diagnostic companion to the uniqueness theorem for maps whose origin Jacobian
-    is the identity: group elements with unipotent trivial Jacobian do not move any
-    sample, while non-group candidates generally do. No theorem-level claim is made.
-    """
-    if samples < 0:
-        raise ParameterOutOfDomain(f"sample count {samples} must not be negative")
-    pts = random_interior_points(rng_from_seed(seed), samples)
-    return _max_distance(pts, _map_each(map_like, pts))
-
-
 def _torus_grid() -> SymPoint:
     """The torus grid as arrays: entry j*n + k has angles 2*pi*(j, k)/n, n = TORUS_POINTS."""
     import numpy as np
@@ -367,17 +344,24 @@ def _torus_grid() -> SymPoint:
     return SymPoint(np.repeat(rs * circle, n), np.tile(rp * circle, n))
 
 
-def _check_extractable(at_origin: SymPoint, degree_cap: int) -> None:
-    if not 0 < degree_cap < TORUS_POINTS:
-        raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
-    if max(abs(at_origin.s), abs(at_origin.p)) > 1e-8:
-        raise PreconditionUnmet(f"map moves the origin to {at_origin}")
+def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4) -> CandidateMap:
+    """Taylor coefficients of an origin-fixing map, truncated at weighted degree degree_cap.
 
-
-def _taylor_readout(images: SymPoint, degree_cap: int) -> CandidateMap:
-    """fit_candidate's FFT readout from the map's values on _torus_grid()."""
+    Calls the map once at the origin and once on the whole TORUS_POINTS x TORUS_POINTS
+    grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), held as arrays in one
+    SymPoint, and takes the 2-D FFT of the values: entry (j, k) divided by the grid
+    size and by r_s**j * r_p**k is the trapezoidal-rule Cauchy integral for the
+    coefficient of s**j * p**k. Only monomials with j + 2k <= degree_cap are kept,
+    since higher ones would amplify rounding by r**-(j+2k).
+    """
     import numpy as np
 
+    if not 0 < degree_cap < TORUS_POINTS:
+        raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
+    at_origin = map_like(ORIGIN)
+    if max(abs(at_origin.s), abs(at_origin.p)) > 1e-8:
+        raise PreconditionUnmet(f"map moves the origin to {at_origin}")
+    images = map_like(_torus_grid())
     n = TORUS_POINTS
     rs, rp = TORUS_RADII
     js, ks = degree_cap + 1, degree_cap // 2 + 1
@@ -388,21 +372,8 @@ def _taylor_readout(images: SymPoint, degree_cap: int) -> CandidateMap:
         for j in range(js - 2 * k):
             scale = rs ** j * rp ** k
             terms[(j, k)] = (S[j][k] / scale, P[j][k] / scale)
-    del terms[(0, 0)]  # the constant term is the origin image, checked beforehand
+    del terms[(0, 0)]  # the constant term is the origin image, checked above
     return make_candidate(terms, degree_cap)
-
-
-def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4) -> CandidateMap:
-    """Taylor coefficients of an origin-fixing map, truncated at weighted degree degree_cap.
-
-    Samples the map on a TORUS_POINTS x TORUS_POINTS grid of the torus
-    |s| = r_s, |p| = r_p (TORUS_RADII) and takes the 2-D FFT: entry (j, k) divided by
-    the grid size and by r_s**j * r_p**k is the trapezoidal-rule Cauchy integral for
-    the coefficient of s**j * p**k. Only monomials with j + 2k <= degree_cap are kept,
-    since higher ones would amplify rounding by r**-(j+2k).
-    """
-    _check_extractable(map_like(ORIGIN), degree_cap)
-    return _taylor_readout(_map_each(map_like, _torus_grid()), degree_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -433,9 +404,8 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
 
       1. transport: find the royal transport that moves the image of the origin
          back to the origin;
-      2. extraction: call the map once at each point of `fit_candidate`'s torus grid,
-         apply the transport to all the values at once, and read the Taylor
-         coefficients of the transported map by the torus Cauchy integral;
+      2. extraction: read the Taylor coefficients of the transported map (the
+         transport applied after the map) with `fit_candidate`;
       3. rotation: take the unit rotation from the extracted s-coefficient of S (the
          Jacobian's (1,1) entry) and divide it out of the coefficient table, S terms
          by rot and P terms by rot**2;
@@ -443,10 +413,10 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
       5. royal check: check that royal points are fixed, which forces C = 0.
 
     A genuine group element comes out certified as the identity; a candidate with a
-    stray C survives extraction but fails the royal check. The map is called once at
-    the origin and once per grid point (and once per royal point when the normalized
-    form is not (s, p + C*s**2)); everything after those calls runs on complex128
-    arrays.
+    stray C survives extraction but fails the royal check. The map is called three
+    times: at the origin for the transport, and at the origin and on the torus grid
+    inside `fit_candidate`. When the normalized form is not (s, p + C*s**2), a fourth
+    call takes all the royal points at once.
 
     Raises NotWeightedHomogeneous when the normalized map does not commute with
     rotations, and PreconditionUnmet when the origin image is off the royal variety.
@@ -457,8 +427,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
         raise PreconditionUnmet(
             f"origin image {img} is off the royal variety (residual {residual})")
     transport = transport_to_origin(img, max(tol, 1e-8))
-    _check_extractable(apply_g2(transport, img), degree_cap)
-    raw = _taylor_readout(apply_g2(transport, _map_each(map_like, _torus_grid())), degree_cap)
+    raw = fit_candidate(lambda q: apply_g2(transport, map_like(q)), degree_cap)
 
     m11 = origin_jacobian(raw).m11
     if abs(m11) < 0.1:
@@ -475,7 +444,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
         royal_ok = False
         undo = compose_g2(rotation(rot_inv), transport)
         pts = _royal_points(ROYAL_SAMPLES, ROYAL_SEED)
-        royal_residual = _max_distance(pts, apply_g2(undo, _map_each(map_like, pts)))
+        royal_residual = _max_distance(pts, apply_g2(undo, map_like(pts)))
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(
         origin_image=img,

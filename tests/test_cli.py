@@ -321,3 +321,10 @@ def test_extreme_input_exits_as_documented(template, x):
     code, out = run_quiet(*argv)
     assert code in EXIT_CODES[argv[0]] | {64, 65}
     assert not BAD_NUMBER.search(out), out
+
+
+def test_overflowing_commutator_iterate_exits_65():
+    # finite input whose 10**20-th commutator iterate overflows to NaN in the powering
+    cand = '{"terms":[{"j":1,"k":0,"S":1,"P":0},{"j":0,"k":1,"S":1e300,"P":2}]}'
+    code, out = run_quiet("commutator", cand, "--tau", "-1", "--n-max", "1" + "0" * 20)
+    assert code == 65 and out == ""

@@ -16,7 +16,7 @@ from symbidisc import (
     SingularJacobian,
     SymPoint,
     apply_g2,
-    cartan_residual,
+    apply_g2_via_roots,
     cauchy_bound_check,
     commutator_experiment,
     commutator_jacobian,
@@ -346,21 +346,6 @@ class TestOrbit:
             orbit_sample(pt, 2, 0)
 
 
-class TestCartanResidual:
-    def test_identity_map(self):
-        assert cartan_residual(identity_candidate(), 64, 0) == 0.0
-
-    def test_unipotent_non_group_candidate_moves_points(self):
-        # origin Jacobian is the identity, yet the map is not the identity
-        F = homogeneous(1, 1, 0.5)
-        J = origin_jacobian(F)
-        assert (J.m11, J.m12, J.m21, J.m22) == (1, 0, 0, 1)
-        assert cartan_residual(F, 64, 0) > 1e-2
-
-    def test_group_element_with_identity_jacobian_is_identity(self):
-        assert cartan_residual(rotation(1), 64, 0) == 0.0
-
-
 class TestFitCandidate:
     def test_recovers_rotation_coefficients(self):
         tau = cmath.exp(0.4j)
@@ -400,6 +385,24 @@ class TestPipeline:
                 report = normalize_and_extract(lambda q, H=H: apply_g2(H, q))
                 assert report.identity_certified
                 assert report.identity_deviation <= 1e-8
+
+    def test_scalar_only_black_box_certifies_through_vectorize(self):
+        # apply_g2_via_roots takes scalars only (desymmetrize uses cmath), and its
+        # route shares no code with the closed form the pipeline transports with
+        rng = rng_from_seed(49)
+        for _ in range(50):
+            H = lift(random_moebius(rng))
+            with pytest.raises(TypeError):
+                normalize_and_extract(lambda q: apply_g2_via_roots(H, q))
+
+            def via_roots(s, p, H=H):
+                image = apply_g2_via_roots(H, SymPoint(s, p))
+                return image.s, image.p
+
+            vectorized = np.vectorize(via_roots, otypes=[complex, complex])
+            report = normalize_and_extract(lambda q: SymPoint(*vectorized(q.s, q.p)))
+            assert report.identity_certified
+            assert report.identity_deviation <= 1e-13
 
     def test_transport_param_matches_origin_image(self):
         h = make_moebius(1j, 0.4)
@@ -503,6 +506,17 @@ def _pole(q):
     raise PoleEncountered(f"{q} is a pole of the map")
 
 
+def constant_on_grid(q, exceptions):
+    """The royal point (1, 1/4) at every point, except exceptions[i](point i) on arrays."""
+    if np.ndim(q.s) == 0:
+        return SymPoint(1.0, 0.25)
+    s, p = np.full(q.s.shape, 1.0 + 0j), np.full(q.p.shape, 0.25 + 0j)
+    for i, value in exceptions.items():
+        image = value(SymPoint(q.s[i], q.p[i]))
+        s[i], p[i] = image.s, image.p
+    return SymPoint(s, p)
+
+
 class TestArrayPipeline:
     def test_royal_points_match_scalar_draws(self):
         # the one-array draw takes the doubles the 64 random_disc calls took, in order
@@ -531,9 +545,9 @@ class TestArrayPipeline:
     @pytest.mark.parametrize("kind", list(PIPELINE_MAPS))
     def test_matches_per_point_reference(self, monkeypatch, kind):
         tables = []
-        readout = proof_lab._taylor_readout
-        monkeypatch.setattr(proof_lab, "_taylor_readout",
-                            lambda images, cap: tables.append(readout(images, cap)) or tables[-1])
+        fit = proof_lab.fit_candidate
+        monkeypatch.setattr(proof_lab, "fit_candidate",
+                            lambda map_like, cap: tables.append(fit(map_like, cap)) or tables[-1])
         for map_like in PIPELINE_MAPS[kind]:
             report = normalize_and_extract(map_like)
             table, residual = reference_pipeline(map_like)
@@ -554,7 +568,7 @@ class TestArrayPipeline:
         for map_like in PIPELINE_MAPS["injected"]:
             assert not normalize_and_extract(map_like).royal_ok
 
-    def test_map_called_once_per_point(self):
+    def test_map_called_three_times(self):
         calls = []
         H = _seeded_elements(64, 1)[0]
 
@@ -563,8 +577,10 @@ class TestArrayPipeline:
             return apply_g2(H, q)
 
         assert normalize_and_extract(counting).identity_certified
-        n = proof_lab.TORUS_POINTS
-        assert len(calls) == 1 + n * n  # the origin, then the torus grid
+        # the origin for the transport, then the origin and the whole torus grid
+        assert len(calls) == 3
+        assert calls[0] == calls[1] == ORIGIN
+        assert calls[2].s.shape == (proof_lab.TORUS_POINTS ** 2,)
 
     @pytest.mark.parametrize("failure,error", [
         (_pole, PoleEncountered),
@@ -574,11 +590,8 @@ class TestArrayPipeline:
     def test_failure_on_a_grid_point_propagates(self, failure, error):
         # the origin goes to the royal point (1, 1/4), so the transport has a = 1/2;
         # the tenth grid point fails
-        calls = []
-
         def map_like(q):
-            calls.append(q)
-            return SymPoint(1.0, 0.25) if len(calls) != 11 else failure(q)
+            return constant_on_grid(q, {9: failure})
 
         with pytest.raises(error):
             normalize_and_extract(map_like)
@@ -590,12 +603,9 @@ class TestArrayPipeline:
     def test_nan_on_a_grid_point_does_not_hide_a_degenerate_one(self):
         # one grid value is NaN and a later one sits on the transport's pole (2, 0);
         # the scalar transport passes the NaN through and raises on the pole
-        calls = []
-
         def map_like(q):
-            calls.append(q)
-            return {6: SymPoint(complex("nan"), 0.0),
-                    11: SymPoint(2.0, 0.0)}.get(len(calls), SymPoint(1.0, 0.25))
+            return constant_on_grid(q, {4: lambda q: SymPoint(complex("nan"), 0.0),
+                                        9: lambda q: SymPoint(2.0, 0.0)})
 
         with pytest.raises(DenominatorDegenerate):
             normalize_and_extract(map_like)
@@ -614,22 +624,7 @@ class TestArrayResiduals:
                 worst = max(worst, abs(tau * lhs.s - rhs.s), abs(tau * tau * lhs.p - rhs.p))
             assert abs(rotation_commutation_residual(F, tau, 100, 3) - worst) <= 1e-14
 
-    def test_cartan_residual_matches_per_point_loop(self):
-        for map_like in (homogeneous(1, 1, 0.5), lift(make_moebius(1j, 0.3))):
-            rng = rng_from_seed(4)
-            worst = 0.0
-            for _ in range(100):
-                pt = random_interior(rng)
-                img = map_like(pt)
-                worst = max(worst, abs(img.s - pt.s), abs(img.p - pt.p))
-            assert abs(cartan_residual(map_like, 100, 4) - worst) <= 1e-14
-
-    def test_cartan_residual_of_no_samples_is_zero(self):
-        assert cartan_residual(homogeneous(1, 1, 0.5), 0, 0) == 0.0
-
     def test_negative_sample_counts_are_rejected(self):
-        with pytest.raises(ParameterOutOfDomain):
-            cartan_residual(homogeneous(1, 1, 0.5), -1, 0)
         with pytest.raises(ParameterOutOfDomain):
             force_c_zero(identity_candidate(), samples=-1)
         assert force_c_zero(identity_candidate(), samples=0) == (True, 0.0)
