@@ -33,7 +33,7 @@ from .jsonio import (
     sympoint_to_json,
     verdict_to_json,
 )
-from .proof_lab import commutator_experiment, orbit_sample
+from .proof_lab import _orbit_arrays, commutator_experiment
 from .sym_geometry import in_g2, in_sigma2
 
 EXIT_USAGE = 64
@@ -41,6 +41,8 @@ EXIT_FAILED = 65
 
 CSV_HEADER = "re_s,im_s,re_p,im_p,sigma2_residual"
 CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g"
+# sympoint_to_json plus the residual, as dumps prints it: floats by repr, no spaces
+JSON_ROW = '{"s":{"re":%r,"im":%r},"p":{"re":%r,"im":%r},"sigma2_residual":%r}'
 
 
 class _InputError(Exception):
@@ -101,18 +103,21 @@ def _cmd_transport(args) -> int:
 
 
 def _cmd_orbit(args) -> int:
+    import numpy as np
+
     pt = _parse(args.point, sympoint_from_json)
-    images = orbit_sample(pt, args.samples, args.seed)
+    S, P = _orbit_arrays(pt, args.samples, args.seed)
+    sr, si, pr, pi = S.real, S.imag, P.real, P.imag
+    # in_sigma2's |s*s - 4p| in real parts, rounded as CPython's complex arithmetic is
+    residual = np.hypot((sr * sr - si * si) - 4.0 * pr, (sr * si + si * sr) - 4.0 * pi)
+    table = np.stack([sr, si, pr, pi, residual], axis=1)
+    if not np.isfinite(table).all():
+        raise ArithmeticError("an orbit image is not finite")
     if args.format == "csv":
-        rows = [CSV_ROW % (img.s.real, img.s.imag, img.p.real, img.p.imag, in_sigma2(img)[1])
-                for img in images]
-        print("\n".join([CSV_HEADER, *rows]))
-    else:
-        for img in images:
-            _, residual = in_sigma2(img)
-            out = sympoint_to_json(img)
-            out["sigma2_residual"] = residual
-            print(dumps(out))
+        sys.stdout.write(CSV_HEADER + "\n" + (CSV_ROW + "\n") * len(table)
+                         % tuple(table.ravel().tolist()))
+    else:  # adding 0.0 flushes negative zeros, as complex_to_json does
+        sys.stdout.write((JSON_ROW + "\n") * len(table) % tuple((table + 0.0).ravel().tolist()))
     return 0
 
 

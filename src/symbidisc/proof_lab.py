@@ -19,15 +19,17 @@ truncated polynomial candidate maps, plus a pipeline that drives any given map
 through steps 1-4 and reports how far it is from the identity. The pipeline reads
 a map only through its Taylor coefficients at the origin, which it computes in one
 way for every map: the trapezoidal-rule Cauchy integral over a torus inside the
-domain, i.e. a 2-D FFT of the map's values on a grid of that torus. For a map
-analytic on the domain this converges geometrically in the grid size (Bornemann,
-Found. Comput. Math. 11, 2011; Trefethen & Weideman, SIAM Rev. 56, 2014), and on a
-polynomial of low enough degree it is exact up to rounding. Every map it takes
-works as a numpy ufunc does: it gets one SymPoint whose coordinates are complex
-scalars or complex128 arrays and returns a SymPoint of the same shape, so the whole
-torus grid goes through the map in one call (wrap a scalar-only callable with
-np.vectorize). Orbit sampling supplies the evidence-level companion: origin orbits
-stay on the royal variety, non-royal orbits stay off it.
+domain, i.e. the rows of the 16-point DFT that are read, applied to the map's
+values on a grid of that torus. For a map analytic on the domain this converges
+geometrically in the grid size (Bornemann, Found. Comput. Math. 11, 2011; Trefethen
+& Weideman, SIAM Rev. 56, 2014), and on a polynomial of low enough degree it is
+exact up to rounding. Every map it takes works as a numpy ufunc does: it gets one
+SymPoint whose coordinates are complex scalars or complex128 arrays and returns a
+SymPoint of the same shape, so the whole torus grid goes through the map in one
+call (wrap a scalar-only callable with np.vectorize). The grid, the DFT rows and
+the royal sample are built once and are read-only. Orbit sampling supplies the
+evidence-level companion: origin orbits stay on the royal variety, non-royal orbits
+stay off it.
 
 Everything here is seeded and deterministic; experiment results are pinned by
 (seed, count) alone.
@@ -35,6 +37,7 @@ Everything here is seeded and deterministic; experiment results are pinned by
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -124,13 +127,24 @@ def identity_candidate(degree_cap: int = 4) -> CandidateMap:
 
 def evaluate_candidate(F: CandidateMap, pt: SymPoint) -> SymPoint:
     """F at pt, whose coordinates are complex scalars or complex128 arrays alike."""
+    s_pow = _powers(pt.s, max((j for j, _ in F.terms), default=0))
+    p_pow = _powers(pt.p, max((k for _, k in F.terms), default=0))
     S = 0j
     P = 0j
     for (j, k), (cs, cp) in F.terms.items():
-        mono = pt.s ** j * pt.p ** k
+        # a factor s**0 or p**0 is skipped: on arrays every product is a pass
+        mono = s_pow[j] * p_pow[k] if j and k else s_pow[j] if j else p_pow[k]
         S += cs * mono
         P += cp * mono
     return SymPoint(S, P)
+
+
+def _powers(z, top: int) -> list:
+    """[1, z, z**2, ..., z**top] (at least [1, z]), by repeated multiplication."""
+    table = [1.0, z]
+    for _ in range(top - 1):
+        table.append(table[-1] * z)
+    return table
 
 
 def origin_jacobian(F: CandidateMap) -> Jacobian2:
@@ -273,10 +287,22 @@ def weighted_form_extract(F: CandidateMap, tol: float = DEFAULT_TOL
     return alpha, d, C
 
 
+@functools.lru_cache(maxsize=8)
 def _royal_points(samples: int, seed: int) -> SymPoint:
-    """Seeded royal points (2*lam, lam**2), |lam| < 0.9, as arrays in one SymPoint."""
+    """Seeded royal points (2*lam, lam**2), |lam| < 0.9, as read-only arrays in one SymPoint.
+
+    Drawn once per (samples, seed); the small bound keeps a sweep over seeds from
+    growing memory.
+    """
     lam = random_disc_points(rng_from_seed(seed), samples, 0.9)
-    return SymPoint(2.0 * lam, lam * lam)
+    return SymPoint(*_read_only(2.0 * lam, lam * lam))
+
+
+def _read_only(*arrays) -> tuple:
+    """Mark cached arrays read-only, so that no map can write into them."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _max_distance(a: SymPoint, b: SymPoint) -> float:
@@ -323,55 +349,82 @@ def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
     code that serves random_moebius, make_moebius and apply_g2 for one element. The
     images match that one-at-a-time loop to rounding, not bit for bit.
     """
+    S, P = _orbit_arrays(pt, count, seed)
+    return [SymPoint(s, p) for s, p in zip(S.tolist(), P.tolist())]
+
+
+def _orbit_arrays(pt: SymPoint, count: int, seed: int):
+    """orbit_sample's images as two complex128 arrays (S, P), without boxing."""
+    import numpy as np
+
     if count < 0:
         raise ParameterOutOfDomain(f"orbit size {count} must not be negative")
     if in_g2(pt).region != "interior":
         raise PreconditionUnmet(f"{pt} is not an interior point")
     if count == 0:
-        return []
+        return np.empty(0, complex), np.empty(0, complex)
     tau, a = _canonical_params(*random_moebius_params(rng_from_seed(seed), count))
     S, P, _ = _lift_form(tau, a, pt.s, pt.p)
-    return [SymPoint(s, p) for s, p in zip(S.tolist(), P.tolist())]
+    return S, P
 
 
+@functools.cache
 def _torus_grid() -> SymPoint:
-    """The torus grid as arrays: entry j*n + k has angles 2*pi*(j, k)/n, n = TORUS_POINTS."""
+    """The torus grid as read-only arrays.
+
+    Entry j*n + k has angles 2*pi*(j, k)/n, n = TORUS_POINTS.
+    """
     import numpy as np
 
     n = TORUS_POINTS
     rs, rp = TORUS_RADII
     circle = np.exp(2j * math.pi * np.arange(n) / n)
-    return SymPoint(np.repeat(rs * circle, n), np.tile(rp * circle, n))
+    return SymPoint(*_read_only(np.repeat(rs * circle, n), np.tile(rp * circle, n)))
+
+
+@functools.cache
+def _cauchy_rows():
+    """The n-point DFT matrix, n = TORUS_POINTS, with row j divided by n * r**j, for r_s and r_p.
+
+    The exponent j*m is reduced mod n before scaling by 2*pi/n, so each entry is a
+    root of unity rounded once, not the exp of a large rounded angle.
+    """
+    import numpy as np
+
+    n = TORUS_POINTS
+    m = np.arange(n)
+    dft = np.exp(-2j * math.pi * (np.outer(m, m) % n) / n)
+    return _read_only(*(dft / (n * r ** m[:, None]) for r in TORUS_RADII))
 
 
 def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4) -> CandidateMap:
     """Taylor coefficients of an origin-fixing map, truncated at weighted degree degree_cap.
 
     Calls the map once at the origin and once on the whole TORUS_POINTS x TORUS_POINTS
-    grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), held as arrays in one
-    SymPoint, and takes the 2-D FFT of the values: entry (j, k) divided by the grid
-    size and by r_s**j * r_p**k is the trapezoidal-rule Cauchy integral for the
-    coefficient of s**j * p**k. Only monomials with j + 2k <= degree_cap are kept,
-    since higher ones would amplify rounding by r**-(j+2k).
+    grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), held as read-only arrays in
+    one SymPoint, and applies to the values the rows of the 16-point DFT that are
+    read: entry (j, k), divided by the grid size and by r_s**j * r_p**k, is the
+    trapezoidal-rule Cauchy integral for the coefficient of s**j * p**k. Only
+    monomials with j + 2k <= degree_cap are kept, since higher ones would amplify
+    rounding by r**-(j+2k). A non-finite image on the grid raises ArithmeticError.
     """
     import numpy as np
 
     if not 0 < degree_cap < TORUS_POINTS:
         raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
     at_origin = map_like(ORIGIN)
-    if max(abs(at_origin.s), abs(at_origin.p)) > 1e-8:
+    # negated, so that a NaN image fails the test
+    if not (abs(at_origin.s) <= 1e-8 and abs(at_origin.p) <= 1e-8):
         raise PreconditionUnmet(f"map moves the origin to {at_origin}")
     images = map_like(_torus_grid())
     n = TORUS_POINTS
-    rs, rp = TORUS_RADII
+    values = np.concatenate((images.s, images.p)).reshape(2, n, n)
+    if not np.isfinite(values).all():
+        raise ArithmeticError("the map has a non-finite value on the torus grid")
     js, ks = degree_cap + 1, degree_cap // 2 + 1
-    coef = np.fft.fft2(np.stack([images.s, images.p]).reshape(2, n, n))[:, :js, :ks]
-    S, P = (coef / (n * n)).tolist()
-    terms = {}
-    for k in range(ks):
-        for j in range(js - 2 * k):
-            scale = rs ** j * rp ** k
-            terms[(j, k)] = (S[j][k] / scale, P[j][k] / scale)
+    rows_s, rows_p = _cauchy_rows()
+    S, P = (rows_s[:js] @ values @ rows_p[:ks].T).tolist()
+    terms = {(j, k): (S[j][k], P[j][k]) for k in range(ks) for j in range(js - 2 * k)}
     del terms[(0, 0)]  # the constant term is the origin image, checked above
     return make_candidate(terms, degree_cap)
 

@@ -8,9 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from symbidisc import cli
 from symbidisc.cli import CSV_HEADER, main
 
 
@@ -159,6 +161,29 @@ class TestOrbit:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "084729bd88456c06e6a39b361d1d894797faa292be97348fdf1982e578d9204d")
+
+    def test_json_bytes_are_pinned(self, capsys):
+        # golden digest taken while rows were still built one SymPoint and dumps at a time
+        code, out, _ = run(capsys, "orbit", '{"s":0.5,"p":0}', "--samples", "200", "--seed", "42",
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "e3734081e497d16f9ad2126a01f21c81f37c78aeaa44c3c3afc2ce1d11e358c9")
+
+    def test_origin_csv_bytes_are_pinned(self, capsys):
+        # the royal case: every residual is rounding-level, so its last digits pin the
+        # order of the arithmetic in |s*s - 4p|
+        code, out, _ = run(capsys, "orbit", '{"s":0,"p":0}', "--samples", "1000", "--seed", "42")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "923485fbe77e5d7a90930534cdb79b536e0c3842a323c9cd365fbb935553e246")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_finite_image_exits_65(self, capsys, monkeypatch, fmt):
+        nan = np.array([0.5, complex("nan")])
+        monkeypatch.setattr(cli, "_orbit_arrays", lambda pt, count, seed: (nan, nan))
+        code, out, err = run(capsys, "orbit", point(0.5, 0), "--samples", "2", "--format", fmt)
+        assert code == 65 and out == "" and err != ""
 
 
 class TestCommutator:

@@ -58,6 +58,9 @@ def shear(b, d, cap=4):
     return make_candidate({(1, 0): (1, 0), (0, 1): (b, d)}, cap)
 
 
+NAN = complex("nan")
+
+
 def homogeneous(alpha, d, c, cap=4):
     """Candidate (alpha*s, d*p + c*s**2): the rotation-commuting family."""
     return make_candidate({(1, 0): (alpha, 0), (0, 1): (0, d), (2, 0): (0, c)}, cap)
@@ -366,6 +369,52 @@ class TestFitCandidate:
         with pytest.raises(PreconditionUnmet):
             fit_candidate(lift(make_moebius(1, 0.3)))
 
+    @pytest.mark.parametrize("image", [(NAN, NAN), (0j, NAN), (NAN, 0j)],
+                             ids=["both", "p_only", "s_only"])
+    def test_rejects_nan_origin_image(self, image):
+        # the identity on the grid, NaN at the origin: max() would let either NaN through
+        def map_like(q):
+            return SymPoint(*image) if np.ndim(q.s) == 0 else q
+
+        with pytest.raises(PreconditionUnmet):
+            fit_candidate(map_like)
+
+    @pytest.mark.parametrize("bad", [NAN, complex("inf"), complex(0, float("-inf"))])
+    def test_non_finite_grid_image_raises(self, bad):
+        def map_like(q):
+            if np.ndim(q.s) == 0:
+                return q
+            s = q.s.copy()
+            s[7] = bad
+            return SymPoint(s, q.p)
+
+        with pytest.raises(ArithmeticError):
+            fit_candidate(map_like)
+
+    @pytest.mark.parametrize("cap", range(1, proof_lab.TORUS_POINTS))
+    def test_recovers_every_monomial_for_every_cap(self, cap):
+        # a seeded candidate using every monomial j + 2k <= cap: the grid rule is exact
+        # on it, so only rounding, amplified by 1/(r_s**j * r_p**k), is left
+        rs, rp = proof_lab.TORUS_RADII
+        keys = [(j, k) for k in range(cap // 2 + 1) for j in range(cap + 1 - 2 * k)][1:]
+        coef = random_disc_points(rng_from_seed(100 + cap), 2 * len(keys), 1.0).tolist()
+        F = make_candidate({key: (coef[2 * i], coef[2 * i + 1]) for i, key in enumerate(keys)},
+                           cap)
+        fitted = fit_candidate(F, cap)
+        assert fitted.terms.keys() == F.terms.keys()
+        for (j, k), (cs, cp) in F.terms.items():
+            gs, gp = fitted.terms[(j, k)]
+            assert max(abs(gs - cs), abs(gp - cp)) <= 1e-15 / (rs ** j * rp ** k), (j, k)
+
+    def test_dft_rows_match_numpy_fft(self):
+        # exponents reduced mod n keep every entry a correctly rounded root of unity;
+        # without the reduction the large angles lose about 1e-14
+        n = proof_lab.TORUS_POINTS
+        dft = np.fft.fft(np.eye(n))
+        for rows, r in zip(proof_lab._cauchy_rows(), proof_lab.TORUS_RADII):
+            scale = n * r ** np.arange(n)[:, None]
+            assert np.abs(rows * scale - dft).max() <= 2e-15
+
 
 class TestPipeline:
     def test_group_elements_certify_as_identity(self):
@@ -609,6 +658,61 @@ class TestArrayPipeline:
 
         with pytest.raises(DenominatorDegenerate):
             normalize_and_extract(map_like)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_on_a_grid_point_raises(self):
+        # the transport passes the NaN through; the report would be NaN in every field
+        def map_like(q):
+            return constant_on_grid(q, {4: lambda q: SymPoint(NAN, 0.0)})
+
+        with pytest.raises(ArithmeticError) as excinfo:
+            normalize_and_extract(map_like)
+        assert excinfo.type is ArithmeticError
+
+    def test_fixed_inputs_are_built_once(self, monkeypatch):
+        # after the first certify the torus grid, DFT rows and royal sample are cached:
+        # no generator, FFT, exp, sin/cos or grid layout runs again
+        maps = [PIPELINE_MAPS[kind][0] for kind in ("black_box", "injected", "fallback")]
+        before = [normalize_and_extract(map_like) for map_like in maps]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a fixed input was rebuilt")
+
+        for name in ("exp", "cos", "sin", "sqrt", "repeat", "tile", "outer"):
+            monkeypatch.setattr(np, name, forbidden)
+        monkeypatch.setattr(np.random, "default_rng", forbidden)
+        monkeypatch.setattr(np.fft, "fft", forbidden)
+        monkeypatch.setattr(np.fft, "fft2", forbidden)
+        assert [normalize_and_extract(map_like) for map_like in maps] == before
+
+    def test_cached_inputs_match_fresh_builds(self):
+        normalize_and_extract(PIPELINE_MAPS["fallback"][0])  # fills every cache
+        for cached, fresh in ((proof_lab._torus_grid(), proof_lab._torus_grid.__wrapped__()),
+                              (proof_lab._royal_points(64, 11),
+                               proof_lab._royal_points.__wrapped__(64, 11))):
+            for a, b in ((cached.s, fresh.s), (cached.p, fresh.p)):
+                assert a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+        for cached, fresh in zip(proof_lab._cauchy_rows(), proof_lab._cauchy_rows.__wrapped__()):
+            assert cached.tobytes() == fresh.tobytes() and not cached.flags.writeable
+
+    @pytest.mark.parametrize("kind,size", [("black_box", proof_lab.TORUS_POINTS ** 2),
+                                           ("fallback", proof_lab.ROYAL_SAMPLES)],
+                             ids=["torus_grid", "royal_points"])
+    def test_map_writing_into_its_input_raises(self, kind, size):
+        # the grid reaches every map; the royal sample reaches maps on the fallback path
+        honest = PIPELINE_MAPS[kind][0]
+        before = normalize_and_extract(honest)
+
+        def vandal(q):
+            if np.ndim(q.s) and q.s.shape == (size,):
+                q.s[0] = 0.0
+                q.p *= 2.0
+            return honest(q)
+
+        with pytest.raises(ValueError, match="read-only"):
+            normalize_and_extract(vandal)
+        assert normalize_and_extract(honest) == before
 
 
 class TestArrayResiduals:
