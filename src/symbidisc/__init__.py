@@ -32,7 +32,6 @@ from .g2_group import (
     apply_g2,
     apply_g2_via_roots,
     compose_g2,
-    g2_equal,
     invert_g2,
     jacobian_at,
     lift,
@@ -49,7 +48,6 @@ from .proof_lab import (
     evaluate_candidate,
     fit_candidate,
     force_c_zero,
-    identity_candidate,
     iterate_commutator,
     make_candidate,
     normalize_and_extract,
@@ -64,7 +62,6 @@ from .sym_geometry import (
     RootPair,
     SymPoint,
     desymmetrize,
-    in_disc,
     in_g2,
     in_sigma2,
     royal_param,

@@ -4,8 +4,10 @@ Each disc automorphism h induces the map sending (s, p) to the (sum, product) of
 (h(root1), h(root2)); that lift is an automorphism of the symmetrized bidisc, and
 every automorphism arises this way. Application is available through two independent
 routes: a closed rational form in (s, p), which is holomorphic and stable near the
-double-root locus, and the literal root route, which desymmetrizes, maps each root,
-and re-symmetrizes. Each route serves as the other's oracle.
+double-root locus, and the literal root route, which extracts the roots, maps each
+one, and re-symmetrizes. Each route checks the other. Membership rests on the same
+root extraction as the root route, and the tests check it against the root-free
+Agler-Young criterion (tests/test_sym_geometry.py::TestAglerYoung).
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from .disc_moebius import (
     compose,
     invert,
     make_moebius,
-    moebius_equal,
 )
 from .errors import DenominatorDegenerate, NotOnRoyalVariety
-from .sym_geometry import SymPoint, desymmetrize, royal_param, symmetrize
+from .sym_geometry import SymPoint, _roots, royal_param, symmetrize
 
 # Below this the rational form's denominator (1 - conj(a)*s + conj(a)**2 * p),
 # which equals the product (1 - conj(a)*root1)(1 - conj(a)*root2), is degenerate.
@@ -97,9 +98,10 @@ def _lift_form(tau, a, s, p):
 
 
 def apply_g2_via_roots(H: G2Automorphism, pt: SymPoint) -> SymPoint:
-    """Definitional route: desymmetrize, map both roots, re-symmetrize."""
-    rp = desymmetrize(pt)
-    return symmetrize(apply_moebius(H.h, rp.first), apply_moebius(H.h, rp.second))
+    """Definitional route: extract the roots, map both, re-symmetrize."""
+    h = H.h
+    r1, r2 = _roots(pt.s, pt.p)
+    return symmetrize(apply_moebius(h, r1), apply_moebius(h, r2))
 
 
 def compose_g2(H1: G2Automorphism, H2: G2Automorphism) -> G2Automorphism:
@@ -115,10 +117,6 @@ def invert_g2(H: G2Automorphism) -> G2Automorphism:
 def rotation(tau: complex) -> G2Automorphism:
     """The lift of lam -> tau*lam, acting as (s, p) -> (tau*s, tau^2*p)."""
     return G2Automorphism(make_moebius(tau, 0j))
-
-
-def g2_equal(H1: G2Automorphism, H2: G2Automorphism, tol: float = DEFAULT_TOL) -> bool:
-    return moebius_equal(H1.h, H2.h, tol)
 
 
 def transport_to_origin(pt: SymPoint, tol: float = DEFAULT_TOL) -> G2Automorphism:

@@ -121,10 +121,6 @@ def make_candidate(terms: Mapping[tuple[int, int], tuple[complex, complex]],
     return CandidateMap(clean, degree_cap)
 
 
-def identity_candidate(degree_cap: int = 4) -> CandidateMap:
-    return make_candidate({(1, 0): (1.0, 0.0), (0, 1): (0.0, 1.0)}, degree_cap)
-
-
 def evaluate_candidate(F: CandidateMap, pt: SymPoint) -> SymPoint:
     """F at pt, whose coordinates are complex scalars or complex128 arrays alike."""
     s_pow = _powers(pt.s, max((j for j, _ in F.terms), default=0))

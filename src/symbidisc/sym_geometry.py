@@ -43,24 +43,25 @@ def symmetrize(lam1: complex, lam2: complex) -> SymPoint:
     return SymPoint(lam1 + lam2, lam1 * lam2)
 
 
-def desymmetrize(pt: SymPoint) -> RootPair:
-    """Roots of z**2 - s*z + p, computed cancellation-free.
+def _roots(s: complex, p: complex) -> tuple[complex, complex]:
+    """Roots of z**2 - s*z + p in no particular order, computed cancellation-free.
 
     The square root sign is chosen to maximize |s + d| and the second root comes
     from p/q rather than the symmetric formula; the naive (s - d)/2 loses half the
     digits whenever the roots nearly coincide (i.e. near the royal variety).
     """
-    s, p = pt.s, pt.p
     d = cmath.sqrt(s * s - 4.0 * p)
     if abs(s + d) < abs(s - d):
         d = -d
     q = 0.5 * (s + d)
     if q == 0:  # only when s = 0 and p = 0
-        return RootPair(0j, 0j)
-    return _ordered(q, p / q)
+        return 0j, 0j
+    return q, p / q
 
 
-def _ordered(r1: complex, r2: complex) -> RootPair:
+def desymmetrize(pt: SymPoint) -> RootPair:
+    """Roots of z**2 - s*z + p in lexicographic (real, imag) order."""
+    r1, r2 = _roots(pt.s, pt.p)
     if (r2.real, r2.imag) < (r1.real, r1.imag):
         r1, r2 = r2, r1
     return RootPair(r1, r2)
@@ -71,17 +72,20 @@ def _classify(margin: float, tol: float) -> MembershipVerdict:
         return MembershipVerdict("interior", margin)
     if margin < -tol:
         return MembershipVerdict("exterior", margin)
-    return MembershipVerdict("boundary", margin)
-
-
-def in_disc(lam: complex, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    return _classify(1.0 - abs(lam), tol)
+    if -tol <= margin <= tol:
+        return MembershipVerdict("boundary", margin)
+    raise ArithmeticError(f"membership margin {margin} or tolerance {tol} is not a number")
 
 
 def in_g2(pt: SymPoint, tol: float = DEFAULT_TOL) -> MembershipVerdict:
-    """Classify by the larger root modulus; interior iff both roots are inside E."""
-    rp = desymmetrize(pt)
-    return _classify(1.0 - max(abs(rp.first), abs(rp.second)), tol)
+    """Classify by the larger root modulus; interior iff both roots are inside E.
+
+    Raises ArithmeticError where the root extraction overflows into NaN (|s|
+    beyond about 1e154, or |p| near the float limit), rather than report a NaN
+    margin as "boundary".
+    """
+    r1, r2 = _roots(pt.s, pt.p)
+    return _classify(1.0 - max(abs(r1), abs(r2)), tol)
 
 
 def in_sigma2(pt: SymPoint, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

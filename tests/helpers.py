@@ -1,10 +1,11 @@
-"""Shared strategies and distance helpers for the test suite."""
+"""Shared strategies, distance helpers and test-only constructors for the test suite."""
 
 import math
 
+import numpy as np
 from hypothesis import strategies as st
 
-from symbidisc import SymPoint, make_moebius, symmetrize
+from symbidisc import SymPoint, make_candidate, make_moebius, moebius_equal, symmetrize
 
 
 def polar(r: float, theta: float) -> complex:
@@ -27,6 +28,34 @@ def interior_point(max_radius: float = 0.95):
     return st.builds(symmetrize, disc_complex(max_radius), disc_complex(max_radius))
 
 
+def root_cloud(rng: np.random.Generator, count: int, radius: float = 1.2):
+    """Seeded root pairs (lam1, lam2) as complex128 arrays.
+
+    Roots are area-uniform in |lam| <= radius, so a radius beyond 1 gives exterior
+    points. A tenth of the pairs lie 1e-12 to 1e-6 apart (near the royal variety),
+    and another tenth have one root 1e-8 to 1e-3 off the unit circle.
+    """
+    def disc(n):
+        return radius * np.sqrt(rng.random(n)) * np.exp(2j * math.pi * rng.random(n))
+
+    def unit(n):
+        return np.exp(2j * math.pi * rng.random(n))
+
+    lam1, lam2 = disc(count), disc(count)
+    kind = rng.random(count)
+    royal = kind < 0.1
+    k = int(royal.sum())
+    lam2[royal] = lam1[royal] + 10.0 ** rng.uniform(-12, -6, k) * unit(k)
+    edge = (kind >= 0.1) & (kind < 0.2)
+    k = int(edge.sum())
+    lam1[edge] = (1.0 + 10.0 ** rng.uniform(-8, -3, k) * rng.choice([-1.0, 1.0], k)) * unit(k)
+    return lam1, lam2
+
+
+def cloud_points(lam1, lam2) -> list:
+    return [SymPoint(s, p) for s, p in zip((lam1 + lam2).tolist(), (lam1 * lam2).tolist())]
+
+
 def pt_dist(a: SymPoint, b: SymPoint) -> float:
     return max(abs(a.s - b.s), abs(a.p - b.p))
 
@@ -38,3 +67,12 @@ def unordered_dist(pair1, pair2) -> float:
     straight = max(abs(x1 - y1), abs(x2 - y2))
     crossed = max(abs(x1 - y2), abs(x2 - y1))
     return min(straight, crossed)
+
+
+def g2_equal(H1, H2, tol: float) -> bool:
+    """Lifts compare by their disc automorphisms, which are canonical."""
+    return moebius_equal(H1.h, H2.h, tol)
+
+
+def identity_candidate(degree_cap: int = 4):
+    return make_candidate({(1, 0): (1.0, 0.0), (0, 1): (0.0, 1.0)}, degree_cap)

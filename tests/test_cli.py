@@ -353,3 +353,9 @@ def test_overflowing_commutator_iterate_exits_65():
     cand = '{"terms":[{"j":1,"k":0,"S":1,"P":0},{"j":0,"k":1,"S":1e300,"P":2}]}'
     code, out = run_quiet("commutator", cand, "--tau", "-1", "--n-max", "1" + "0" * 20)
     assert code == 65 and out == ""
+
+
+def test_overflowing_membership_point_exits_65():
+    # finite input whose root extraction overflows: s*s - 4p is NaN, so is the margin
+    code, out = run_quiet("membership", '{"s": 0, "p": {"re": 0, "im": 1.7e308}}')
+    assert code == 65 and out == ""

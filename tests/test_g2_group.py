@@ -11,9 +11,10 @@ from symbidisc import (
     SymPoint,
     apply_g2,
     apply_g2_via_roots,
+    apply_moebius,
     compose,
     compose_g2,
-    g2_equal,
+    desymmetrize,
     identity,
     invert_g2,
     jacobian_at,
@@ -23,11 +24,12 @@ from symbidisc import (
     rotation,
     in_g2,
     in_sigma2,
+    symmetrize,
     transport_to_origin,
 )
 from symbidisc.sampling import random_disc, random_interior, random_moebius, random_unit, rng_from_seed
 
-from helpers import interior_point, moebius, pt_dist
+from helpers import cloud_points, g2_equal, interior_point, moebius, pt_dist, root_cloud
 
 
 def near_royal_point(rng, scale=1e-6):
@@ -99,6 +101,22 @@ class TestApply:
     def test_two_route_property(self, h, pt):
         H = lift(h)
         assert pt_dist(apply_g2(H, pt), apply_g2_via_roots(H, pt)) <= 1e-10
+
+    def test_root_route_matches_ordered_roots_bit_for_bit(self):
+        # the root route maps the two roots in whatever order they come; IEEE + and *
+        # are commutative, so the image equals the one built from the sorted pair
+        rng = rng_from_seed(26)
+        elements = [random_moebius(rng) for _ in range(7)]
+        points = [SymPoint(0j, 0j)] + cloud_points(*root_cloud(rng, 25_000))
+        differ = []
+        for i, pt in enumerate(points):
+            h = elements[i % len(elements)]
+            rp = desymmetrize(pt)
+            want = symmetrize(apply_moebius(h, rp.first), apply_moebius(h, rp.second))
+            # repr tells -0.0 from 0.0, which == does not
+            if repr(apply_g2_via_roots(lift(h), pt)) != repr(want):
+                differ.append((i, pt))
+        assert differ == []
 
 
 class TestGroupStructure:

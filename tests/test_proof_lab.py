@@ -25,7 +25,6 @@ from symbidisc import (
     evaluate_candidate,
     fit_candidate,
     force_c_zero,
-    identity_candidate,
     in_sigma2,
     iterate_commutator,
     jacobian_at,
@@ -51,6 +50,8 @@ from symbidisc.sampling import (
     random_unit,
     rng_from_seed,
 )
+
+from helpers import identity_candidate
 
 
 def shear(b, d, cap=4):

@@ -9,15 +9,15 @@ from symbidisc import (
     NotOnRoyalVariety,
     SymPoint,
     desymmetrize,
-    in_disc,
     in_g2,
     in_sigma2,
     royal_param,
     symmetrize,
 )
 from symbidisc.sampling import random_disc, random_interior, rng_from_seed
+from symbidisc.sym_geometry import _classify
 
-from helpers import disc_complex, unordered_dist
+from helpers import cloud_points, disc_complex, root_cloud, unordered_dist
 
 
 def np_roots(pt: SymPoint):
@@ -113,9 +113,15 @@ class TestDesymmetrize:
 
 class TestMembership:
     def test_disc_examples(self):
-        assert in_disc(0, 1e-9).region == "interior"
-        assert in_disc(1, 1e-9).region == "boundary"
-        assert in_disc(1.5j, 1e-9).region == "exterior"
+        # the disc is classified on the margin 1 - |lam|, as G2 is on its larger root
+        assert _classify(1.0 - abs(0), 1e-9).region == "interior"
+        assert _classify(1.0 - abs(1), 1e-9).region == "boundary"
+        assert _classify(1.0 - abs(1.5j), 1e-9).region == "exterior"
+        assert _classify(1e-9, 1e-9).region == "boundary"
+
+    def test_classify_rejects_nan(self):
+        with pytest.raises(ArithmeticError):
+            _classify(math.nan, 1e-9)
 
     def test_g2_origin(self):
         verdict = in_g2(SymPoint(0, 0))
@@ -145,6 +151,71 @@ class TestMembership:
         for _ in range(1_000):
             lam = random_disc(rng, 0.999)
             assert in_g2(SymPoint(2 * lam, lam * lam)).region == "interior"
+
+    def test_overflowing_point_raises(self):
+        # roots of modulus ~1.3e154, but s*s - 4p overflows and the margin is NaN
+        with pytest.raises(ArithmeticError):
+            in_g2(SymPoint(0j, 1.7e308j))
+
+    def test_huge_coordinates_never_give_a_nan_margin(self):
+        values = [0.0, 1e150, -1e150, 1e200, -1e200, 1e300, -1e308, 1.7e308, 1e-300]
+        coords = [complex(x, y) for x in values for y in values]
+        raised = 0
+        for s in coords:
+            for p in coords:
+                try:
+                    verdict = in_g2(SymPoint(s, p))
+                except ArithmeticError:
+                    raised += 1
+                    continue
+                assert not math.isnan(verdict.margin), (s, p)
+                assert (verdict.region == "boundary") == (abs(verdict.margin) <= 1e-9), (s, p)
+        assert raised == 4_433  # every point whose margin overflowed into NaN
+
+
+class TestUnorderedRoots:
+    """in_g2 and the ordered desymmetrize see the same two roots, so equal verdicts."""
+
+    def test_in_g2_matches_ordered_roots_bit_for_bit(self):
+        rng = rng_from_seed(31)
+        points = [SymPoint(0j, 0j)] + cloud_points(*root_cloud(rng, 25_000))
+        tol = 1e-9
+        differ = []
+        for pt in points:
+            rp = desymmetrize(pt)
+            want = _classify(1.0 - max(abs(rp.first), abs(rp.second)), tol)
+            # repr tells -0.0 from 0.0, which == does not
+            if repr(in_g2(pt, tol)) != repr(want):
+                differ.append(pt)
+        assert differ == []
+
+
+class TestAglerYoung:
+    """in_g2 against (s, p) in G2 iff |s - conj(s)*p| < 1 - |p|**2 (Agler-Young 2001).
+
+    The criterion needs no roots. Its float margin is good to about 1e-14 for
+    |s| <= 2.4 and |p| <= 1.44; in_g2's margin is good to about sqrt(1e-16) ~ 1e-8
+    where the roots nearly coincide. Points are compared only where both margins
+    clear those bands with room to spare.
+    """
+
+    AY_BAND = 1e-13
+    ROOT_BAND = 1e-7
+
+    def test_interior_verdicts_agree(self):
+        lam1, lam2 = root_cloud(rng_from_seed(41), 200_000)
+        s, p = lam1 + lam2, lam1 * lam2
+        ay = (1.0 - np.abs(p) ** 2) - np.abs(s - np.conj(s) * p)
+        verdicts = [in_g2(pt) for pt in cloud_points(lam1, lam2)]
+        margin = np.array([v.margin for v in verdicts])
+        interior = np.array([v.region == "interior" for v in verdicts])
+        compared = (np.abs(ay) > self.AY_BAND) & (np.abs(margin) > self.ROOT_BAND)
+        disagree = int((compared & (interior != (ay > 0))).sum())
+        print(f"Agler-Young: {int(compared.sum())} of {len(verdicts)} points compared, "
+              f"{disagree} disagree")
+        assert disagree == 0
+        assert compared.sum() >= 0.95 * len(verdicts)
+        assert interior[compared].any() and not interior[compared].all()
 
 
 class TestSigma2:
