@@ -11,10 +11,8 @@ from .disc_moebius import (
     DiscAutomorphism,
     apply_moebius,
     compose,
-    identity,
     invert,
     make_moebius,
-    moebius_equal,
 )
 from .errors import (
     DenominatorDegenerate,
@@ -53,7 +51,6 @@ from .proof_lab import (
     normalize_and_extract,
     orbit_sample,
     origin_jacobian,
-    rotation_commutation_residual,
     weighted_form_extract,
 )
 from .sym_geometry import (

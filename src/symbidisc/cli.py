@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from .disc_moebius import DEFAULT_TOL
+from .disc_moebius import DEFAULT_TOL, make_moebius
 from .errors import NotOnRoyalVariety
 from .g2_group import apply_g2, apply_g2_via_roots, transport_to_origin
 from .jsonio import (
@@ -121,12 +121,16 @@ def _cmd_orbit(args) -> int:
     return 0
 
 
+def _rotation_from_json(obj) -> complex:
+    """A JSON complex that passes make_moebius's |tau| = 1 check, returned as parsed."""
+    tau = complex_from_json(obj)
+    make_moebius(tau, 0j)
+    return tau
+
+
 def _cmd_commutator(args) -> int:
     F = _parse(args.candidate, candidate_from_json)
-    try:
-        tau = complex_from_json(_load_json(args.tau))
-    except ValueError as exc:
-        raise _InputError(str(exc)) from exc
+    tau = _parse(args.tau, _rotation_from_json)
     report = commutator_experiment(F, tau, args.n_max)
     print(dumps(report_to_json(report)))
     return 0 if report.n_star is None else 4

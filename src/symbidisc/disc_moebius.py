@@ -58,10 +58,6 @@ def _largest(values):
     return values if isinstance(values, float) else values.max()
 
 
-def identity() -> DiscAutomorphism:
-    return DiscAutomorphism(1.0 + 0j, 0j)
-
-
 def apply_moebius(h: DiscAutomorphism, lam: complex) -> complex:
     """Evaluate h at lam. Raises PoleEncountered near lam = 1/conj(a)."""
     den = 1.0 - h.a.conjugate() * lam
@@ -95,8 +91,3 @@ def compose(h: DiscAutomorphism, g: DiscAutomorphism) -> DiscAutomorphism:
 def invert(h: DiscAutomorphism) -> DiscAutomorphism:
     """Canonical form of h^-1: (conj(tau), -tau*a)."""
     return make_moebius(h.tau.conjugate(), -h.tau * h.a)
-
-
-def moebius_equal(h: DiscAutomorphism, g: DiscAutomorphism, tol: float = DEFAULT_TOL) -> bool:
-    """Parameter-wise comparison; by canonicity this matches pointwise agreement on E."""
-    return abs(h.tau - g.tau) <= tol and abs(h.a - g.a) <= tol

@@ -23,16 +23,15 @@ def complex_to_json(z: complex) -> dict:
 
 
 def complex_from_json(obj: Any) -> complex:
-    if isinstance(obj, bool):
-        raise ValueError(f"expected a complex number, got {obj!r}")
-    if isinstance(obj, (int, float)):
-        re, im = obj, 0.0
-    elif isinstance(obj, dict):
+    if isinstance(obj, dict):
         extra = set(obj) - {"re", "im"}
         if extra:
             raise ValueError(f"unexpected keys {sorted(extra)} in complex value")
         re, im = obj.get("re", 0.0), obj.get("im", 0.0)
     else:
+        re, im = obj, 0.0
+    # each part is a JSON number: float() would read "0.5" and true, and fail on null
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
         raise ValueError(f"expected a complex number, got {obj!r}")
     try:
         z = complex(float(re), float(im))

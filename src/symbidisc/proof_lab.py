@@ -51,12 +51,7 @@ from .errors import (
 )
 from .disc_moebius import DEFAULT_TOL, _canonical_params, make_moebius
 from .g2_group import Jacobian2, _lift_form, apply_g2, compose_g2, rotation, transport_to_origin
-from .sampling import (
-    random_disc_points,
-    random_interior_points,
-    random_moebius_params,
-    rng_from_seed,
-)
+from .sampling import random_disc_points, random_moebius_params, rng_from_seed
 from .sym_geometry import ORIGIN, SymPoint, in_g2, in_sigma2
 
 # Schwarz-lemma constant: p -> S(0, p) is holomorphic on |p| < 1 (the points (0, p)
@@ -80,6 +75,10 @@ TORUS_POINTS = 16
 # The royal check's seeded sample, for the extracted candidate and for the map itself.
 ROYAL_SAMPLES = 64
 ROYAL_SEED = 11
+
+# The certify pipeline's one tolerance: for the royal-variety and origin-image tests,
+# the weighted-form readout, the royal check and the identity verdict.
+CERTIFY_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -246,20 +245,8 @@ def commutator_experiment(F: CandidateMap, tau: complex, n_max: int = 64) -> Com
 
 
 # ---------------------------------------------------------------------------
-# Rotation commutation and the weighted-homogeneous form
+# The weighted-homogeneous form and the royal check
 # ---------------------------------------------------------------------------
-
-def rotation_commutation_residual(F: CandidateMap, tau: complex,
-                                  samples: int = 256, seed: int = 0) -> float:
-    """Max defect of (t*S(s,p), t^2*P(s,p)) = (S(t*s, t^2*p), P(t*s, t^2*p)) on samples."""
-    if samples < 1:
-        raise ParameterOutOfDomain("samples must be positive")
-    t = make_moebius(tau, 0j).tau
-    pts = random_interior_points(rng_from_seed(seed), samples)
-    lhs = evaluate_candidate(F, pts)
-    rhs = evaluate_candidate(F, SymPoint(t * pts.s, t * t * pts.p))
-    return _max_distance(SymPoint(t * lhs.s, t * t * lhs.p), rhs)
-
 
 def weighted_form_extract(F: CandidateMap, tol: float = DEFAULT_TOL
                           ) -> tuple[complex, complex, complex]:
@@ -283,14 +270,10 @@ def weighted_form_extract(F: CandidateMap, tol: float = DEFAULT_TOL
     return alpha, d, C
 
 
-@functools.lru_cache(maxsize=8)
-def _royal_points(samples: int, seed: int) -> SymPoint:
-    """Seeded royal points (2*lam, lam**2), |lam| < 0.9, as read-only arrays in one SymPoint.
-
-    Drawn once per (samples, seed); the small bound keeps a sweep over seeds from
-    growing memory.
-    """
-    lam = random_disc_points(rng_from_seed(seed), samples, 0.9)
+@functools.cache
+def _royal_points() -> SymPoint:
+    """ROYAL_SAMPLES seeded royal points (2*lam, lam**2), |lam| < 0.9, as read-only arrays."""
+    lam = random_disc_points(rng_from_seed(ROYAL_SEED), ROYAL_SAMPLES, 0.9)
     return SymPoint(*_read_only(2.0 * lam, lam * lam))
 
 
@@ -302,30 +285,27 @@ def _read_only(*arrays) -> tuple:
 
 
 def _max_distance(a: SymPoint, b: SymPoint) -> float:
-    """Largest coordinate difference between two SymPoints of arrays; 0.0 when empty."""
+    """Largest coordinate difference between two SymPoints of arrays."""
     import numpy as np
 
-    return float(max(np.max(abs(a.s - b.s), initial=0.0), np.max(abs(a.p - b.p), initial=0.0)))
+    return float(max(np.max(abs(a.s - b.s)), np.max(abs(a.p - b.p))))
 
 
-def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL,
-                 samples: int = ROYAL_SAMPLES, seed: int = ROYAL_SEED) -> tuple[bool, float]:
+def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Check that F fixes royal points, which kills the remaining s**2 coefficient.
 
     On (2*lam, lam**2) a map (s, p + C*s**2) moves the p-coordinate by 4*C*lam**2,
-    so the returned residual is |4*C| * max|lam|**2 over the seeded sample and the
-    verdict is True iff it stays within tol. Requires the extracted form to have
-    alpha = 1 and d = 1 to tol.
+    so the returned residual is |4*C| * max|lam|**2 over the seeded royal sample
+    (ROYAL_SAMPLES points, ROYAL_SEED) and the verdict is True iff it stays within
+    tol. Requires the extracted form to have alpha = 1 and d = 1 to tol.
     """
-    if samples < 0:
-        raise ParameterOutOfDomain(f"sample count {samples} must not be negative")
     try:
         alpha, d, _ = weighted_form_extract(F, tol)
     except NotWeightedHomogeneous as exc:
         raise PreconditionUnmet(f"candidate is not rotation-commuting: {exc}") from exc
     if abs(alpha - 1.0) > tol or abs(d - 1.0) > tol:
         raise PreconditionUnmet(f"normalized form expected: alpha = {alpha}, d = {d}")
-    pts = _royal_points(samples, seed)
+    pts = _royal_points()
     residual = _max_distance(pts, evaluate_candidate(F, pts))
     return residual <= tol, residual
 
@@ -410,7 +390,7 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4)
         raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
     at_origin = map_like(ORIGIN)
     # negated, so that a NaN image fails the test
-    if not (abs(at_origin.s) <= 1e-8 and abs(at_origin.p) <= 1e-8):
+    if not (abs(at_origin.s) <= CERTIFY_TOL and abs(at_origin.p) <= CERTIFY_TOL):
         raise PreconditionUnmet(f"map moves the origin to {at_origin}")
     images = map_like(_torus_grid())
     n = TORUS_POINTS
@@ -445,9 +425,11 @@ class PipelineReport:
     identity_certified: bool
 
 
-def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float = 1e-8,
-                          degree_cap: int = 4) -> PipelineReport:
+def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineReport:
     """Drive a map through the full forcing chain and report the extracted form.
+
+    The chain runs one fixed configuration: tolerance CERTIFY_TOL, fit_candidate's
+    default degree cap and the seeded royal sample.
 
     Every map, group element or black box alike, takes the same stages:
 
@@ -471,12 +453,12 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
     rotations, and PreconditionUnmet when the origin image is off the royal variety.
     """
     img = map_like(ORIGIN)
-    member, residual = in_sigma2(img, max(tol, 1e-8))
+    member, residual = in_sigma2(img, CERTIFY_TOL)
     if not member:
         raise PreconditionUnmet(
             f"origin image {img} is off the royal variety (residual {residual})")
-    transport = transport_to_origin(img, max(tol, 1e-8))
-    raw = fit_candidate(lambda q: apply_g2(transport, map_like(q)), degree_cap)
+    transport = transport_to_origin(img, CERTIFY_TOL)
+    raw = fit_candidate(lambda q: apply_g2(transport, map_like(q)))
 
     m11 = origin_jacobian(raw).m11
     if abs(m11) < 0.1:
@@ -484,15 +466,15 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
     rot = m11 / abs(m11)
     rot_inv = rot.conjugate()
     fitted = make_candidate({key: (rot_inv * cs, rot_inv * rot_inv * cp)
-                             for key, (cs, cp) in raw.terms.items()}, degree_cap)
+                             for key, (cs, cp) in raw.terms.items()}, raw.degree_cap)
 
-    alpha, d, C = weighted_form_extract(fitted, tol)
+    alpha, d, C = weighted_form_extract(fitted, CERTIFY_TOL)
     try:
-        royal_ok, royal_residual = force_c_zero(fitted, tol)
+        royal_ok, royal_residual = force_c_zero(fitted, CERTIFY_TOL)
     except PreconditionUnmet:
         royal_ok = False
         undo = compose_g2(rotation(rot_inv), transport)
-        pts = _royal_points(ROYAL_SAMPLES, ROYAL_SEED)
+        pts = _royal_points()
         royal_residual = _max_distance(pts, apply_g2(undo, map_like(pts)))
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(
@@ -505,5 +487,5 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint], tol: float =
         royal_ok=royal_ok,
         royal_residual=royal_residual,
         identity_deviation=deviation,
-        identity_certified=royal_ok and deviation <= tol,
+        identity_certified=royal_ok and deviation <= CERTIFY_TOL,
     )

@@ -57,19 +57,8 @@ def random_disc(rng: np.random.Generator, max_radius: float = 0.999) -> complex:
     return complex(random_disc_points(rng, 1, max_radius)[0])
 
 
-def random_interior_points(rng: np.random.Generator, count: int) -> SymPoint:
-    """`count` seeded interior points, as one SymPoint of complex128 arrays.
-
-    Row i of one rng.random((count, 4)) draw holds r1, theta1, r2, theta2: the doubles
-    random_interior(rng) draws for sample i. The products lam1*lam2 round as numpy's
-    complex multiply does, so p may differ from random_interior's in the last bit.
-    """
-    u = rng.random((count, 4))
-    return symmetrize(_disc_points(u[:, :2], 0.999), _disc_points(u[:, 2:], 0.999))
-
-
-def random_interior(rng: np.random.Generator, max_radius: float = 0.999) -> SymPoint:
-    return symmetrize(random_disc(rng, max_radius), random_disc(rng, max_radius))
+def random_interior(rng: np.random.Generator) -> SymPoint:
+    return symmetrize(random_disc(rng), random_disc(rng))
 
 
 def random_moebius_params(rng: np.random.Generator, count: int,

@@ -5,7 +5,15 @@ import math
 import numpy as np
 from hypothesis import strategies as st
 
-from symbidisc import SymPoint, make_candidate, make_moebius, moebius_equal, symmetrize
+from symbidisc import (
+    DiscAutomorphism,
+    SymPoint,
+    evaluate_candidate,
+    make_candidate,
+    make_moebius,
+    symmetrize,
+)
+from symbidisc.sampling import random_interior, rng_from_seed
 
 
 def polar(r: float, theta: float) -> complex:
@@ -69,6 +77,15 @@ def unordered_dist(pair1, pair2) -> float:
     return min(straight, crossed)
 
 
+def identity() -> DiscAutomorphism:
+    return DiscAutomorphism(1.0 + 0j, 0j)
+
+
+def moebius_equal(h, g, tol: float) -> bool:
+    """Parameter-wise comparison; by canonicity this matches pointwise agreement on E."""
+    return abs(h.tau - g.tau) <= tol and abs(h.a - g.a) <= tol
+
+
 def g2_equal(H1, H2, tol: float) -> bool:
     """Lifts compare by their disc automorphisms, which are canonical."""
     return moebius_equal(H1.h, H2.h, tol)
@@ -76,3 +93,18 @@ def g2_equal(H1, H2, tol: float) -> bool:
 
 def identity_candidate(degree_cap: int = 4):
     return make_candidate({(1, 0): (1.0, 0.0), (0, 1): (0.0, 1.0)}, degree_cap)
+
+
+def rotation_commutation_residual(F, tau: complex, samples: int, seed: int) -> float:
+    """Max defect of (tau*S(s,p), tau^2*P(s,p)) = (S, P)(tau*s, tau^2*p), point by point.
+
+    The points are `samples` seeded random_interior draws.
+    """
+    rng = rng_from_seed(seed)
+    worst = 0.0
+    for _ in range(samples):
+        pt = random_interior(rng)
+        lhs = evaluate_candidate(F, pt)
+        rhs = evaluate_candidate(F, SymPoint(tau * pt.s, tau * tau * pt.p))
+        worst = max(worst, abs(tau * lhs.s - rhs.s), abs(tau * tau * lhs.p - rhs.p))
+    return worst

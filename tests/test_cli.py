@@ -209,7 +209,7 @@ class TestCommutator:
 
     def test_non_unit_tau_rejected(self, capsys):
         code, _, _ = run(capsys, "commutator", IDENTITY_CANDIDATE, "--tau", "3")
-        assert code == 65
+        assert code == 64
 
     def test_unnormalized_candidate_fails(self, capsys):
         cand = json.dumps({"terms": [{"j": 1, "k": 0, "S": 2, "P": 0},
@@ -263,6 +263,9 @@ class TestDeterminism:
             ("transport", point(0.8, 0.16), "--tol", "inf"),
             ("transport", point(0.8, 0.16), "--tol", "-1e-9"),
             ("orbit", point(0, 0), "--tol", "1e-9"),  # orbit has no tolerance
+            ("membership", '{"s": {"re": null}, "p": 0}'),  # a part that is no number
+            ("commutator", IDENTITY_CANDIDATE, "--tau", "3"),  # |tau| != 1
+            ("commutator", IDENTITY_CANDIDATE, "--tau", "0"),
         ]:
             code, out, err = run(capsys, *argv)
             assert code == 64 and out == "" and err != "", argv

@@ -8,14 +8,12 @@ from symbidisc import (
     PoleEncountered,
     apply_moebius,
     compose,
-    identity,
     invert,
     make_moebius,
-    moebius_equal,
 )
 from symbidisc.sampling import random_disc, random_moebius, random_unit, rng_from_seed
 
-from helpers import disc_complex, moebius, unit_complex
+from helpers import disc_complex, identity, moebius, moebius_equal, unit_complex
 
 
 class TestConstruction:

@@ -15,12 +15,10 @@ from symbidisc import (
     compose,
     compose_g2,
     desymmetrize,
-    identity,
     invert_g2,
     jacobian_at,
     lift,
     make_moebius,
-    moebius_equal,
     rotation,
     in_g2,
     in_sigma2,
@@ -29,7 +27,16 @@ from symbidisc import (
 )
 from symbidisc.sampling import random_disc, random_interior, random_moebius, random_unit, rng_from_seed
 
-from helpers import cloud_points, g2_equal, interior_point, moebius, pt_dist, root_cloud
+from helpers import (
+    cloud_points,
+    g2_equal,
+    identity,
+    interior_point,
+    moebius,
+    moebius_equal,
+    pt_dist,
+    root_cloud,
+)
 
 
 def near_royal_point(rng, scale=1e-6):

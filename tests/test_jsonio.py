@@ -38,7 +38,8 @@ class TestComplex:
 
     @pytest.mark.parametrize("bad", [True, "1", [1, 2], {"re": 1, "x": 2}, None,
                                      float("nan"), {"re": 1, "im": float("inf")},
-                                     {"re": 10**400}])
+                                     {"re": 10**400}, {"re": None}, {"re": [1]}, {"re": {}},
+                                     {"re": "0.5"}, {"re": True}, {"im": False}])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             complex_from_json(bad)

@@ -35,7 +35,6 @@ from symbidisc import (
     orbit_sample,
     origin_jacobian,
     rotation,
-    rotation_commutation_residual,
     symmetrize,
     transport_to_origin,
     weighted_form_extract,
@@ -45,13 +44,12 @@ from symbidisc.sampling import (
     random_disc,
     random_disc_points,
     random_interior,
-    random_interior_points,
     random_moebius,
     random_unit,
     rng_from_seed,
 )
 
-from helpers import identity_candidate
+from helpers import identity_candidate, rotation_commutation_residual
 
 
 def shear(b, d, cap=4):
@@ -129,6 +127,35 @@ class TestCommutatorJacobian:
             commutator_jacobian(Jacobian2(2, 0, 0, 1), -1)
         with pytest.raises(NotNormalized):
             commutator_jacobian(Jacobian2(1, 0, 0.5, 1), -1)
+
+
+def symbolic_commutator(sympy):
+    """Symbols (b, d, t), J^-1 diag(1/t, 1/t^2) J diag(t, t^2) for J = [[1, b], [0, d]],
+    and the closed form [[1, b*(t-1)], [0, 1]]."""
+    b, d, t = sympy.symbols("b d t")
+    J = sympy.Matrix([[1, b], [0, d]])
+    G = J.inv() * sympy.diag(1 / t, 1 / t**2) * J * sympy.diag(t, t**2)
+    return (b, d, t), G, sympy.Matrix([[1, b * (t - 1)], [0, 1]])
+
+
+class TestCommutatorIdentitySymbolic:
+    def test_closed_form_is_exact(self):
+        sympy = pytest.importorskip("sympy")
+        _, G, closed = symbolic_commutator(sympy)
+        assert (G - closed).applyfunc(sympy.simplify) == sympy.zeros(2, 2)
+
+    def test_commutator_jacobian_matches_closed_form(self):
+        sympy = pytest.importorskip("sympy")
+        symbols, _, closed = symbolic_commutator(sympy)
+        closed_at = sympy.lambdify(symbols, closed)
+        rng = rng_from_seed(48)
+        for _ in range(200):
+            b = random_disc(rng)
+            d = (0.5 + rng.uniform(0, 1)) * random_unit(rng)
+            tau = random_unit(rng)
+            G = commutator_jacobian(Jacobian2(1, b, 0, d), tau)
+            got = np.array([[G.m11, G.m12], [G.m21, G.m22]])
+            assert np.abs(got - closed_at(b, d, tau)).max() <= 1e-14
 
 
 class TestIterate:
@@ -243,7 +270,7 @@ class TestRotationCommutation:
                 old = terms.get((j, k), (0, 0))
                 terms[(j, k)] = (old[0] + bump[0], old[1] + bump[1])
                 F = make_candidate(terms)
-            residual = rotation_commutation_residual(F, tau, 128, seed=i)
+            residual = rotation_commutation_residual(F, tau, 128, i)
             try:
                 weighted_form_extract(F, 1e-9)
                 assert residual <= 1e-10
@@ -579,25 +606,17 @@ class TestArrayPipeline:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             loop.append(r * complex(math.cos(theta), math.sin(theta)))
         assert random_disc_points(rng_from_seed(11), 64, 0.9).tolist() == expected == loop
-        pts = proof_lab._royal_points(64, 11)
+        pts = proof_lab._royal_points()
         assert pts.s.tolist() == [2.0 * lam for lam in expected]
         # numpy's complex product may round lam*lam differently in the last bit
         assert max(abs(p - lam * lam) for p, lam in zip(pts.p.tolist(), expected)) <= 4e-16
-
-    def test_interior_points_match_scalar_draws(self):
-        rng = rng_from_seed(12)
-        expected = [random_interior(rng) for _ in range(200)]
-        pts = random_interior_points(rng_from_seed(12), 200)
-        assert pts.s.tolist() == [q.s for q in expected]
-        # numpy's complex product may round lam1*lam2 differently in the last bit
-        assert max(abs(p - q.p) for p, q in zip(pts.p.tolist(), expected)) <= 4e-16
 
     @pytest.mark.parametrize("kind", list(PIPELINE_MAPS))
     def test_matches_per_point_reference(self, monkeypatch, kind):
         tables = []
         fit = proof_lab.fit_candidate
         monkeypatch.setattr(proof_lab, "fit_candidate",
-                            lambda map_like, cap: tables.append(fit(map_like, cap)) or tables[-1])
+                            lambda map_like: tables.append(fit(map_like)) or tables[-1])
         for map_like in PIPELINE_MAPS[kind]:
             report = normalize_and_extract(map_like)
             table, residual = reference_pipeline(map_like)
@@ -689,8 +708,7 @@ class TestArrayPipeline:
     def test_cached_inputs_match_fresh_builds(self):
         normalize_and_extract(PIPELINE_MAPS["fallback"][0])  # fills every cache
         for cached, fresh in ((proof_lab._torus_grid(), proof_lab._torus_grid.__wrapped__()),
-                              (proof_lab._royal_points(64, 11),
-                               proof_lab._royal_points.__wrapped__(64, 11))):
+                              (proof_lab._royal_points(), proof_lab._royal_points.__wrapped__())):
             for a, b in ((cached.s, fresh.s), (cached.p, fresh.p)):
                 assert a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
@@ -714,22 +732,3 @@ class TestArrayPipeline:
         with pytest.raises(ValueError, match="read-only"):
             normalize_and_extract(vandal)
         assert normalize_and_extract(honest) == before
-
-
-class TestArrayResiduals:
-    def test_rotation_residual_matches_per_point_loop(self):
-        F = make_candidate({(1, 0): (1, 0.2), (0, 1): (0.3, 1), (2, 0): (0.1j, 0.4), (1, 1): (0, 0.5)})
-        for tau in (1j, -1, cmath.exp(0.7j)):
-            rng = rng_from_seed(3)
-            worst = 0.0
-            for _ in range(100):
-                pt = random_interior(rng)
-                lhs = evaluate_candidate(F, pt)
-                rhs = evaluate_candidate(F, SymPoint(tau * pt.s, tau * tau * pt.p))
-                worst = max(worst, abs(tau * lhs.s - rhs.s), abs(tau * tau * lhs.p - rhs.p))
-            assert abs(rotation_commutation_residual(F, tau, 100, 3) - worst) <= 1e-14
-
-    def test_negative_sample_counts_are_rejected(self):
-        with pytest.raises(ParameterOutOfDomain):
-            force_c_zero(identity_candidate(), samples=-1)
-        assert force_c_zero(identity_candidate(), samples=0) == (True, 0.0)
