@@ -10,7 +10,7 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterOutOfDomain, PoleEncountered
 
@@ -24,8 +24,7 @@ POLE_THRESHOLD = 1e-14
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True, slots=True)
-class DiscAutomorphism:
+class DiscAutomorphism(NamedTuple):
     """Canonical parameters of lam -> tau*(lam - a)/(1 - conj(a)*lam)."""
 
     tau: complex

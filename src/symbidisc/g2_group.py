@@ -12,7 +12,7 @@ Agler-Young criterion (tests/test_sym_geometry.py::TestAglerYoung).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .disc_moebius import (
     A_MODULUS_LIMIT,
@@ -31,8 +31,7 @@ from .sym_geometry import SymPoint, _roots, royal_param, symmetrize
 DENOM_THRESHOLD = 1e-14
 
 
-@dataclass(frozen=True, slots=True)
-class G2Automorphism:
+class G2Automorphism(NamedTuple):
     """Lift of a disc automorphism; the wrapped h determines the map completely."""
 
     h: DiscAutomorphism
@@ -41,8 +40,7 @@ class G2Automorphism:
         return apply_g2(self, pt)
 
 
-@dataclass(frozen=True, slots=True)
-class Jacobian2:
+class Jacobian2(NamedTuple):
     """Complex 2x2 Jacobian, rows indexed by output (S, P), columns by input (s, p)."""
 
     m11: complex

@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .errors import (
     NotWeightedHomogeneous,
@@ -85,8 +85,7 @@ CERTIFY_TOL = 1e-8
 # Candidate maps: truncated polynomial self-maps of C^2 fixing the origin
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CandidateMap:
+class CandidateMap(NamedTuple):
     """Polynomial map (S, P) with coefficient table {(j, k): (cS, cP)} on s**j * p**k.
 
     Monomials respect the weighted degree bound j + 2k <= degree_cap and the
@@ -212,8 +211,7 @@ def cauchy_bound_check(b: complex, tau: complex) -> tuple[int | None, float]:
     return math.floor(CAUCHY_BOUND / per_step) + 1, CAUCHY_BOUND
 
 
-@dataclass(frozen=True)
-class CommutatorReport:
+class CommutatorReport(NamedTuple):
     """Outcome of the growth experiment for one candidate and one rotation."""
 
     tau: complex
@@ -326,7 +324,7 @@ def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
     images match that one-at-a-time loop to rounding, not bit for bit.
     """
     S, P = _orbit_arrays(pt, count, seed)
-    return [SymPoint(s, p) for s, p in zip(S.tolist(), P.tolist())]
+    return list(map(SymPoint, S.tolist(), P.tolist()))
 
 
 def _orbit_arrays(pt: SymPoint, count: int, seed: int):

@@ -8,30 +8,27 @@ variety is its double-root locus (2*lam, lam**2).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .disc_moebius import DEFAULT_TOL
 from .errors import NotOnRoyalVariety
 
 
-@dataclass(frozen=True, slots=True)
-class SymPoint:
+class SymPoint(NamedTuple):
     """A point of C^2 in (sum, product) coordinates."""
 
     s: complex
     p: complex
 
 
-@dataclass(frozen=True, slots=True)
-class RootPair:
+class RootPair(NamedTuple):
     """Unordered root pair stored lexicographically by (real, imag)."""
 
     first: complex
     second: complex
 
 
-@dataclass(frozen=True, slots=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     region: str  # "interior" | "boundary" | "exterior"
     margin: float  # 1 - max(|root|); positive inside, negative outside
 
@@ -60,8 +57,14 @@ def _roots(s: complex, p: complex) -> tuple[complex, complex]:
 
 
 def desymmetrize(pt: SymPoint) -> RootPair:
-    """Roots of z**2 - s*z + p in lexicographic (real, imag) order."""
+    """Roots of z**2 - s*z + p in lexicographic (real, imag) order.
+
+    Raises ArithmeticError where the root extraction overflows, as in_g2 does,
+    rather than return a non-finite root for a finite point.
+    """
     r1, r2 = _roots(pt.s, pt.p)
+    if not (cmath.isfinite(r1) and cmath.isfinite(r2)):
+        raise ArithmeticError(f"the roots {r1}, {r2} of {pt} are not finite")
     if (r2.real, r2.imag) < (r1.real, r1.imag):
         r1, r2 = r2, r1
     return RootPair(r1, r2)

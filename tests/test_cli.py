@@ -217,6 +217,14 @@ class TestCommutator:
         code, _, err = run(capsys, "commutator", cand, "--tau", "-1")
         assert code == 65 and err != ""
 
+    def test_unnormalized_error_names_the_jacobian(self, capsys):
+        # the message embeds Jacobian2's repr
+        code, out, err = run(capsys, "commutator", '{"terms":[],"degree_cap":-3}',
+                             "--tau", '{"re":0,"im":1}')
+        assert (code, out) == (65, "")
+        assert err == ("error: origin Jacobian Jacobian2(m11=0j, m12=0j, m21=0j, m22=0j) "
+                       "is not of the form [[1, b], [0, d]]\n")
+
     def test_output_bytes_are_pinned(self, capsys):
         # tau = exp(0.9i) and a complex d leave rounding-level digits in jacobian_of_G,
         # so any change to the order or kind of its 2x2 arithmetic changes these bytes

@@ -359,6 +359,17 @@ class TestOrbit:
         assert max(max(abs(q.s - e.s), abs(q.p - e.p))
                    for q, e in zip(images, expected)) <= 1e-14
 
+    @pytest.mark.parametrize("pt", [ORIGIN, SymPoint(0.5, 0), symmetrize(0.999, -0.998j)],
+                             ids=["origin", "non_royal", "near_boundary"])
+    def test_boxes_the_array_images_exactly(self, pt):
+        S, P = proof_lab._orbit_arrays(pt, 500, 42)
+        images = orbit_sample(pt, 500, 42)
+        assert all(type(q) is SymPoint and type(q.s) is complex and type(q.p) is complex
+                   for q in images)
+        # bit for bit: compared as raw 64-bit words, so -0.0 differs from 0.0
+        for coords, array in (([q.s for q in images], S), ([q.p for q in images], P)):
+            assert np.array_equal(np.array(coords, complex).view(np.uint64), array.view(np.uint64))
+
     @pytest.mark.parametrize("tau,a,pt,error", [
         (1, 1.5, ORIGIN, ParameterOutOfDomain),
         (1, float("nan"), ORIGIN, ParameterOutOfDomain),

@@ -58,6 +58,18 @@ class TestDesymmetrize:
         rp = desymmetrize(SymPoint(0, 0))
         assert (rp.first, rp.second) == (0, 0)
 
+    @pytest.mark.parametrize("pt", [SymPoint(1e160, 0), SymPoint(0, 1.7e308j),
+                                    SymPoint(1e300, 1e300)],
+                             ids=["huge_s", "huge_p", "huge_s_and_p"])
+    def test_overflowing_roots_raise(self, pt):
+        # s*s - 4p overflows, and the roots would come out as inf and NaN
+        with pytest.raises(ArithmeticError):
+            desymmetrize(pt)
+
+    def test_large_finite_roots(self):
+        rp = desymmetrize(SymPoint(1e150, 0))
+        assert (rp.first, rp.second) == (0, 1e150)
+
     def test_canonical_order(self):
         rng = rng_from_seed(3)
         for _ in range(500):
