@@ -58,10 +58,16 @@ def _largest(values):
 
 
 def apply_moebius(h: DiscAutomorphism, lam: complex) -> complex:
-    """Evaluate h at lam. Raises PoleEncountered near lam = 1/conj(a)."""
+    """Evaluate h at lam. Raises PoleEncountered near lam = 1/conj(a).
+
+    A NaN denominator, as a NaN lam gives, raises ArithmeticError.
+    """
     den = 1.0 - h.a.conjugate() * lam
-    if abs(den) < POLE_THRESHOLD:
-        raise PoleEncountered(f"lam = {lam} is at the pole of the map")
+    # negated, so that a NaN denominator fails the test
+    if not abs(den) >= POLE_THRESHOLD:
+        if abs(den) < POLE_THRESHOLD:
+            raise PoleEncountered(f"lam = {lam} is at the pole of the map")
+        raise ArithmeticError(f"denominator {den} at lam = {lam} is not finite")
     return h.tau * (lam - h.a) / den
 
 
@@ -75,16 +81,16 @@ def _from_matrix(A: complex, B: complex, C: complex, D: complex) -> DiscAutomorp
     return make_moebius(A / D, -B / A)
 
 
+def _product(X: tuple, Y: tuple) -> tuple[complex, complex, complex, complex]:
+    """Product X @ Y of 2x2 matrices held as row-major 4-tuples (A, B, C, D)."""
+    a1, b1, c1, d1 = X
+    a2, b2, c2, d2 = Y
+    return a1 * a2 + b1 * c2, a1 * b2 + b1 * d2, c1 * a2 + d1 * c2, c1 * b2 + d1 * d2
+
+
 def compose(h: DiscAutomorphism, g: DiscAutomorphism) -> DiscAutomorphism:
     """Canonical form of h o g (apply g first)."""
-    a1, b1, c1, d1 = _as_matrix(h)
-    a2, b2, c2, d2 = _as_matrix(g)
-    return _from_matrix(
-        a1 * a2 + b1 * c2,
-        a1 * b2 + b1 * d2,
-        c1 * a2 + d1 * c2,
-        c1 * b2 + d1 * d2,
-    )
+    return _from_matrix(*_product(_as_matrix(h), _as_matrix(g)))
 
 
 def invert(h: DiscAutomorphism) -> DiscAutomorphism:

@@ -83,23 +83,6 @@ def jacobian_to_json(J: Jacobian2) -> list:
     ]
 
 
-def jacobian_from_json(obj: Any) -> Jacobian2:
-    if not isinstance(obj, list) or len(obj) != 2 or any(len(row) != 2 for row in obj):
-        raise ValueError("Jacobian needs a 2x2 array")
-    return Jacobian2(
-        complex_from_json(obj[0][0]), complex_from_json(obj[0][1]),
-        complex_from_json(obj[1][0]), complex_from_json(obj[1][1]),
-    )
-
-
-def candidate_to_json(F: CandidateMap) -> dict:
-    terms = [
-        {"j": j, "k": k, "S": complex_to_json(cs), "P": complex_to_json(cp)}
-        for (j, k), (cs, cp) in sorted(F.terms.items())
-    ]
-    return {"degree_cap": F.degree_cap, "terms": terms}
-
-
 def candidate_from_json(obj: Any) -> CandidateMap:
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ValueError("candidate needs key 'terms'")

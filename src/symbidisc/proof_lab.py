@@ -16,20 +16,21 @@ fixing the origin is in hand:
 
 This module makes each step a concrete operation on 2x2 complex matrices and
 truncated polynomial candidate maps, plus a pipeline that drives any given map
-through steps 1-4 and reports how far it is from the identity. The pipeline reads
-a map only through its Taylor coefficients at the origin, which it computes in one
-way for every map: the trapezoidal-rule Cauchy integral over a torus inside the
+through steps 1-4 and reports how far it is from the identity. Steps 1-3 read a
+map through its Taylor coefficients at the origin, which the pipeline computes in
+one way for every map: the trapezoidal-rule Cauchy integral over a torus inside the
 domain, i.e. the rows of the 16-point DFT that are read, applied to the map's
 values on a grid of that torus. For a map analytic on the domain this converges
 geometrically in the grid size (Bornemann, Found. Comput. Math. 11, 2011; Trefethen
 & Weideman, SIAM Rev. 56, 2014), and on a polynomial of low enough degree it is
-exact up to rounding. Every map it takes works as a numpy ufunc does: it gets one
-SymPoint whose coordinates are complex scalars or complex128 arrays and returns a
-SymPoint of the same shape, so the whole torus grid goes through the map in one
-call (wrap a scalar-only callable with np.vectorize). The grid, the DFT rows and
-the royal sample are built once and are read-only. Orbit sampling supplies the
-evidence-level companion: origin orbits stay on the royal variety, non-royal orbits
-stay off it.
+exact up to rounding. Step 4 reads the map itself on a seeded royal sample, so a
+term above the truncation degree cannot hide from it. Every map it takes works as
+a numpy ufunc does: it gets one SymPoint whose coordinates are complex scalars or
+complex128 arrays and returns a SymPoint of the same shape, so the whole torus grid,
+or the whole royal sample, goes through the map in one call (wrap a scalar-only
+callable with np.vectorize). The grid, the DFT rows and the royal sample are built
+once and are read-only. Orbit sampling supplies the evidence-level companion:
+origin orbits stay on the royal variety, non-royal orbits stay off it.
 
 Everything here is seeded and deterministic; experiment results are pinned by
 (seed, count) alone.
@@ -49,7 +50,7 @@ from .errors import (
     PreconditionUnmet,
     SingularJacobian,
 )
-from .disc_moebius import DEFAULT_TOL, _canonical_params, make_moebius
+from .disc_moebius import DEFAULT_TOL, _canonical_params, _product, make_moebius
 from .g2_group import Jacobian2, _lift_form, apply_g2, compose_g2, rotation, transport_to_origin
 from .sampling import random_disc_points, random_moebius_params, rng_from_seed
 from .sym_geometry import ORIGIN, SymPoint, in_g2, in_sigma2
@@ -72,7 +73,7 @@ NO_GROWTH_THRESHOLD = 1e-12
 TORUS_RADII = (0.5, 0.25)
 TORUS_POINTS = 16
 
-# The royal check's seeded sample, for the extracted candidate and for the map itself.
+# The royal check's seeded sample.
 ROYAL_SAMPLES = 64
 ROYAL_SEED = 11
 
@@ -156,11 +157,6 @@ def origin_jacobian(F: CandidateMap) -> Jacobian2:
 # Commutator Jacobians and the growth bound forcing b = 0
 # ---------------------------------------------------------------------------
 
-def _product(A: Jacobian2, B: Jacobian2) -> Jacobian2:
-    return Jacobian2(A.m11 * B.m11 + A.m12 * B.m21, A.m11 * B.m12 + A.m12 * B.m22,
-                     A.m21 * B.m11 + A.m22 * B.m21, A.m21 * B.m12 + A.m22 * B.m22)
-
-
 def _power(G: Jacobian2, n: int) -> Jacobian2:
     """G**n by binary powering: one squaring per bit of n, so a huge n stays cheap."""
     if n < 1:
@@ -171,7 +167,7 @@ def _power(G: Jacobian2, n: int) -> Jacobian2:
             result = G if result is None else _product(result, G)
         n >>= 1
         if not n:
-            return result
+            return Jacobian2(*result)
         G = _product(G, G)
 
 
@@ -190,7 +186,7 @@ def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
     inv = Jacobian2(J.m22 / det, -J.m12 / det, -J.m21 / det, J.m11 / det)
     before = Jacobian2(t, 0j, 0j, t * t)
     after = Jacobian2(1.0 / t, 0j, 0j, 1.0 / (t * t))
-    return _product(_product(_product(inv, after), J), before)
+    return Jacobian2(*_product(_product(_product(inv, after), J), before))
 
 
 def iterate_commutator(J: Jacobian2, tau: complex, n: int) -> Jacobian2:
@@ -282,30 +278,22 @@ def _read_only(*arrays) -> tuple:
     return arrays
 
 
-def _max_distance(a: SymPoint, b: SymPoint) -> float:
-    """Largest coordinate difference between two SymPoints of arrays."""
+def force_c_zero(map_like: Callable[[SymPoint], SymPoint]) -> tuple[bool, float]:
+    """Check that a map fixes royal points, which kills C in (s, p + C*s**2).
+
+    Calls the map once on the seeded royal sample (2*lam, lam**2), |lam| < 0.9
+    (ROYAL_SAMPLES points, ROYAL_SEED), and returns (residual <= CERTIFY_TOL,
+    residual), the residual being the largest coordinate distance between a point
+    and its image. A map (s, p + C*s**2) moves the p-coordinate by 4*C*lam**2, and
+    since the map itself is read, so does a term of any degree that does not vanish
+    on the royal variety. Any map the pipeline takes works, a CandidateMap included.
+    """
     import numpy as np
 
-    return float(max(np.max(abs(a.s - b.s)), np.max(abs(a.p - b.p))))
-
-
-def force_c_zero(F: CandidateMap, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Check that F fixes royal points, which kills the remaining s**2 coefficient.
-
-    On (2*lam, lam**2) a map (s, p + C*s**2) moves the p-coordinate by 4*C*lam**2,
-    so the returned residual is |4*C| * max|lam|**2 over the seeded royal sample
-    (ROYAL_SAMPLES points, ROYAL_SEED) and the verdict is True iff it stays within
-    tol. Requires the extracted form to have alpha = 1 and d = 1 to tol.
-    """
-    try:
-        alpha, d, _ = weighted_form_extract(F, tol)
-    except NotWeightedHomogeneous as exc:
-        raise PreconditionUnmet(f"candidate is not rotation-commuting: {exc}") from exc
-    if abs(alpha - 1.0) > tol or abs(d - 1.0) > tol:
-        raise PreconditionUnmet(f"normalized form expected: alpha = {alpha}, d = {d}")
     pts = _royal_points()
-    residual = _max_distance(pts, evaluate_candidate(F, pts))
-    return residual <= tol, residual
+    img = map_like(pts)
+    residual = float(max(np.max(abs(pts.s - img.s)), np.max(abs(pts.p - img.p))))
+    return residual <= CERTIFY_TOL, residual
 
 
 # ---------------------------------------------------------------------------
@@ -435,17 +423,17 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
          back to the origin;
       2. extraction: read the Taylor coefficients of the transported map (the
          transport applied after the map) with `fit_candidate`;
-      3. rotation: take the unit rotation from the extracted s-coefficient of S (the
-         Jacobian's (1,1) entry) and divide it out of the coefficient table, S terms
-         by rot and P terms by rot**2;
-      4. weighted form: read off (alpha, d, C) with `weighted_form_extract`;
-      5. royal check: check that royal points are fixed, which forces C = 0.
+      3. weighted form: read off (alpha, d, C) with `weighted_form_extract` and
+         divide out the unit rotation rot taken from the extracted s-coefficient of
+         S (the Jacobian's (1,1) entry): alpha by rot, d and C by rot**2;
+      4. royal check: run `force_c_zero` on the map itself, followed by the
+         transport and the inverse rotation, which forces C = 0.
 
-    A genuine group element comes out certified as the identity; a candidate with a
-    stray C survives extraction but fails the royal check. The map is called three
-    times: at the origin for the transport, and at the origin and on the torus grid
-    inside `fit_candidate`. When the normalized form is not (s, p + C*s**2), a fourth
-    call takes all the royal points at once.
+    A genuine group element comes out certified as the identity; a map with a stray
+    C, or with any term of higher degree than the extraction reads, fails the royal
+    check. The map is called four times: at the origin for the transport, at the
+    origin and on the torus grid inside `fit_candidate`, and on the royal sample
+    inside `force_c_zero`.
 
     Raises NotWeightedHomogeneous when the normalized map does not commute with
     rotations, and PreconditionUnmet when the origin image is off the royal variety.
@@ -463,17 +451,10 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
         raise PreconditionUnmet(f"degenerate rotation part |m11| = {abs(m11)}")
     rot = m11 / abs(m11)
     rot_inv = rot.conjugate()
-    fitted = make_candidate({key: (rot_inv * cs, rot_inv * rot_inv * cp)
-                             for key, (cs, cp) in raw.terms.items()}, raw.degree_cap)
-
-    alpha, d, C = weighted_form_extract(fitted, CERTIFY_TOL)
-    try:
-        royal_ok, royal_residual = force_c_zero(fitted, CERTIFY_TOL)
-    except PreconditionUnmet:
-        royal_ok = False
-        undo = compose_g2(rotation(rot_inv), transport)
-        pts = _royal_points()
-        royal_residual = _max_distance(pts, apply_g2(undo, map_like(pts)))
+    alpha, d, C = weighted_form_extract(raw, CERTIFY_TOL)
+    alpha, d, C = rot_inv * alpha, rot_inv * rot_inv * d, rot_inv * rot_inv * C
+    undo = compose_g2(rotation(rot_inv), transport)
+    royal_ok, royal_residual = force_c_zero(lambda q: apply_g2(undo, map_like(q)))
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(
         origin_image=img,

@@ -56,6 +56,12 @@ class TestApply:
         with pytest.raises(PoleEncountered):
             apply_moebius(make_moebius(1, 0.5), 2.0)
 
+    @pytest.mark.parametrize("lam", [complex("nan"), complex(0.5, float("nan"))])
+    def test_nan_point_raises(self, lam):
+        with pytest.raises(ArithmeticError, match="is not finite") as excinfo:
+            apply_moebius(make_moebius(1, 0.5), lam)
+        assert excinfo.type is ArithmeticError
+
     def test_maps_disc_into_disc(self):
         rng = rng_from_seed(2024)
         for _ in range(10_000):

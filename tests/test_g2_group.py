@@ -70,6 +70,16 @@ class TestApply:
         with pytest.raises(DenominatorDegenerate):
             apply_g2(H, SymPoint(2.0, 0.0))
 
+    @pytest.mark.parametrize("a", [0.3, 0, 0.5 + 0.5j])
+    @pytest.mark.parametrize("pt", [SymPoint(1e160, 0), SymPoint(0, 1.7e308j),
+                                    SymPoint(1e300, 1e300)],
+                             ids=["huge_s", "huge_p", "huge_s_and_p"])
+    def test_root_route_raises_on_overflowing_roots(self, pt, a):
+        # s*s - 4p overflows, the roots come out NaN, and so would the image
+        with pytest.raises(ArithmeticError, match="is not finite") as excinfo:
+            apply_g2_via_roots(lift(make_moebius(1, a)), pt)
+        assert excinfo.type is ArithmeticError
+
     def test_both_routes_agree_on_example(self):
         H = lift(make_moebius(1, 0.3j))
         pt = SymPoint(0.4, 0.1)

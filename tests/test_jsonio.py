@@ -5,13 +5,11 @@ import pytest
 from symbidisc import Jacobian2, SymPoint, lift, make_candidate, make_moebius
 from symbidisc.jsonio import (
     candidate_from_json,
-    candidate_to_json,
     complex_from_json,
     complex_to_json,
     dumps,
     g2_from_json,
     g2_to_json,
-    jacobian_from_json,
     jacobian_to_json,
     moebius_from_json,
     moebius_to_json,
@@ -65,23 +63,29 @@ class TestDomainTypes:
 
     def test_jacobian_roundtrip(self):
         J = Jacobian2(1, 0.5 - 0.5j, 0, 2j)
-        assert jacobian_from_json(jacobian_to_json(J)) == J
-
-    def test_jacobian_shape_checked(self):
-        with pytest.raises(ValueError):
-            jacobian_from_json([[{"re": 1}]])
+        text = ('[[{"re":1.0,"im":0.0},{"re":0.5,"im":-0.5}],'
+                '[{"re":0.0,"im":0.0},{"re":0.0,"im":2.0}]]')
+        assert dumps(jacobian_to_json(J)) == text
+        decoded = [[complex_from_json(z) for z in row] for row in json.loads(text)]
+        assert Jacobian2(*decoded[0], *decoded[1]) == J
 
 
 class TestCandidate:
     def test_roundtrip(self):
         F = make_candidate({(1, 0): (1, 0), (0, 1): (0.5j, 1), (2, 0): (0, 0.3)})
-        back = candidate_from_json(json.loads(dumps(candidate_to_json(F))))
-        assert back == F
+        text = ('{"degree_cap":4,"terms":[{"j":0,"k":1,"S":{"re":0.0,"im":0.5},"P":1},'
+                '{"j":1,"k":0,"S":1,"P":0},{"j":2,"k":0,"P":{"re":0.3,"im":0.0}}]}')
+        assert candidate_from_json(json.loads(text)) == F
 
     def test_terms_sorted_in_output(self):
-        F = make_candidate({(2, 0): (0, 1), (1, 0): (1, 0), (0, 1): (0, 1)})
-        keys = [(t["j"], t["k"]) for t in candidate_to_json(F)["terms"]]
-        assert keys == sorted(keys)
+        back = candidate_from_json(json.loads(
+            '{"terms":[{"j":2,"k":0,"P":1},{"j":1,"k":0,"S":1},{"j":0,"k":1,"P":1}]}'))
+        assert list(back.terms) == [(0, 1), (1, 0), (2, 0)]
+
+    def test_shape_checked(self):
+        for bad in ([], {"degree_cap": 4}, {"terms": {}}, {"terms": [[1, 0]]}):
+            with pytest.raises(ValueError):
+                candidate_from_json(bad)
 
     def test_rejects_duplicate_monomials(self):
         with pytest.raises(ValueError):
@@ -109,5 +113,4 @@ class TestCandidate:
             candidate_from_json(obj)
 
     def test_dumps_is_single_line(self):
-        F = make_candidate({(1, 0): (1, 0), (0, 1): (0, 1)})
-        assert "\n" not in dumps(candidate_to_json(F))
+        assert "\n" not in dumps(jacobian_to_json(Jacobian2(1, 0.5j, 0, 1)))

@@ -314,14 +314,19 @@ class TestForceCZero:
         assert not ok and residual > 0.5
 
     def test_tiny_c_passes(self):
-        ok, _ = force_c_zero(homogeneous(1, 1, 1e-15), 1e-10)
+        ok, _ = force_c_zero(homogeneous(1, 1, 1e-15))
         assert ok
 
-    def test_requires_normalized_alpha_d(self):
-        with pytest.raises(PreconditionUnmet):
-            force_c_zero(homogeneous(1j, 1, 0))
-        with pytest.raises(PreconditionUnmet):
-            force_c_zero(make_candidate({(1, 0): (1, 0), (0, 1): (1, 1)}))
+    def test_unnormalized_map_is_rejected(self):
+        # any map is read on the royal points: a stray rotation or an S-term in p moves them
+        ok, residual = force_c_zero(homogeneous(1j, 1, 0))
+        assert not ok and residual >= 1.0  # |(1j - 1) * 2*lam| with max|lam| near 0.9
+        ok, residual = force_c_zero(make_candidate({(1, 0): (1, 0), (0, 1): (1, 1)}))
+        assert not ok and residual >= 0.5  # |lam**2|
+
+    def test_candidate_and_its_evaluation_agree_bit_for_bit(self):
+        F = homogeneous(1, 1, 0.3)
+        assert force_c_zero(F) == force_c_zero(lambda q: evaluate_candidate(F, q))
 
 
 class TestOrbit:
@@ -497,6 +502,21 @@ class TestPipeline:
         report = normalize_and_extract(lift(h))
         assert abs(report.origin_image.s - 2 * report.transport_param) <= 1e-15
 
+    @pytest.mark.parametrize("map_like,measured", [
+        (lambda q: SymPoint(q.s + 0.1 * q.s ** 5, q.p), 1.9),
+        (lambda q: SymPoint(q.s + 0.5 * q.s * q.p ** 2, q.p), 0.59),
+        (lambda q: SymPoint(q.s, q.p + 0.3 * q.s ** 2 * q.p ** 2), 0.64),
+        (lambda q: SymPoint(q.s, q.p + 0.5 * q.s ** 6), 16.9),
+        (lambda q: SymPoint(q.s, q.p + 1e-6 * q.s ** 6), 3.4e-5),
+    ], ids=["s5_in_S", "sp2_in_S", "s2p2_in_P", "s6_in_P", "tiny_s6_in_P"])
+    def test_terms_above_the_extracted_degree_are_rejected(self, map_like, measured):
+        # each map has the identity's Taylor coefficients up to weighted degree 4, so only
+        # the royal check, which calls the map itself, can see the higher term
+        report = normalize_and_extract(map_like)
+        assert report.identity_deviation <= 1e-12
+        assert not report.royal_ok and not report.identity_certified
+        assert report.royal_residual >= 0.5 * measured
+
     def test_injected_c_is_rejected(self):
         report = normalize_and_extract(homogeneous(1, 1, 0.1))
         assert not report.royal_ok
@@ -538,8 +558,8 @@ def reference_royal_points(samples=64, seed=11):
 def reference_pipeline(map_like, tol=1e-8):
     """normalize_and_extract's raw coefficient table and royal residual, per point.
 
-    Every map value is transported by a scalar apply_g2 call and every royal point
-    is evaluated one at a time, as before the array pipeline.
+    Every map value is transported by a scalar apply_g2 call and the map is called
+    on every royal point one at a time, as before the array pipeline.
     """
     img = map_like(ORIGIN)
     transport = transport_to_origin(img, tol)
@@ -553,14 +573,8 @@ def reference_pipeline(map_like, tol=1e-8):
              for k in range(3) for j in range(5 - 2 * k) if (j, k) != (0, 0)}
     m11 = table[(1, 0)][0]
     rot_inv = (m11 / abs(m11)).conjugate()
-    fitted = make_candidate({key: (rot_inv * cs, rot_inv * rot_inv * cp)
-                             for key, (cs, cp) in table.items()})
-    alpha, d, _ = weighted_form_extract(fitted, tol)
-    if abs(alpha - 1) <= tol and abs(d - 1) <= tol:
-        moved = [evaluate_candidate(fitted, pt) for pt in reference_royal_points()]
-    else:
-        undo = compose_g2(rotation(rot_inv), transport)
-        moved = [apply_g2(undo, map_like(pt)) for pt in reference_royal_points()]
+    undo = compose_g2(rotation(rot_inv), transport)
+    moved = [apply_g2(undo, map_like(pt)) for pt in reference_royal_points()]
     residual = max(max(abs(q.s - pt.s), abs(q.p - pt.p))
                    for q, pt in zip(moved, reference_royal_points()))
     return table, residual
@@ -576,8 +590,7 @@ def _injected(H, C):
 
 
 def _halving(H):
-    # weighted-homogeneous but d = 1/2 after normalisation, so force_c_zero refuses it
-    # and the royal check falls back to calling the map
+    # weighted-homogeneous but d = 1/2 after normalisation, so it moves royal points
     return lambda q: apply_g2(H, SymPoint(q.s, 0.5 * q.p))
 
 
@@ -648,7 +661,7 @@ class TestArrayPipeline:
         for map_like in PIPELINE_MAPS["injected"]:
             assert not normalize_and_extract(map_like).royal_ok
 
-    def test_map_called_three_times(self):
+    def test_map_called_four_times(self):
         calls = []
         H = _seeded_elements(64, 1)[0]
 
@@ -657,10 +670,12 @@ class TestArrayPipeline:
             return apply_g2(H, q)
 
         assert normalize_and_extract(counting).identity_certified
-        # the origin for the transport, then the origin and the whole torus grid
-        assert len(calls) == 3
+        # the origin for the transport, the origin and the whole torus grid, then the
+        # whole royal sample
+        assert len(calls) == 4
         assert calls[0] == calls[1] == ORIGIN
         assert calls[2].s.shape == (proof_lab.TORUS_POINTS ** 2,)
+        assert calls[3] is proof_lab._royal_points()
 
     @pytest.mark.parametrize("failure,error", [
         (_pole, PoleEncountered),
@@ -730,7 +745,7 @@ class TestArrayPipeline:
                                            ("fallback", proof_lab.ROYAL_SAMPLES)],
                              ids=["torus_grid", "royal_points"])
     def test_map_writing_into_its_input_raises(self, kind, size):
-        # the grid reaches every map; the royal sample reaches maps on the fallback path
+        # the torus grid and the royal sample both reach every map
         honest = PIPELINE_MAPS[kind][0]
         before = normalize_and_extract(honest)
 
