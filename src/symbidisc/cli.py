@@ -19,7 +19,7 @@ import json
 import math
 import sys
 
-from .disc_moebius import DEFAULT_TOL, make_moebius
+from .disc_moebius import make_moebius
 from .errors import NotOnRoyalVariety
 from .g2_group import apply_g2, apply_g2_via_roots, transport_to_origin
 from .jsonio import (
@@ -34,7 +34,7 @@ from .jsonio import (
     verdict_to_json,
 )
 from .proof_lab import _orbit_arrays, commutator_experiment
-from .sym_geometry import in_g2, in_sigma2
+from .sym_geometry import DEFAULT_TOL, in_g2, in_sigma2
 
 EXIT_USAGE = 64
 EXIT_FAILED = 65

@@ -21,8 +21,6 @@ TAU_MODULUS_SLACK = 1e-6
 # Denominators below this are treated as the pole itself.
 POLE_THRESHOLD = 1e-14
 
-DEFAULT_TOL = 1e-9
-
 
 class DiscAutomorphism(NamedTuple):
     """Canonical parameters of lam -> tau*(lam - a)/(1 - conj(a)*lam)."""

@@ -13,10 +13,6 @@ class DenominatorDegenerate(ArithmeticError):
     """The rational form's denominator vanished; the point is far outside the domain."""
 
 
-class NotOnRoyalVariety(ValueError):
-    """The point is not on the royal variety {(2*lam, lam**2)}."""
-
-
 class SingularJacobian(ValueError):
     """A 2x2 Jacobian with |det| below threshold cannot be inverted."""
 
@@ -38,3 +34,10 @@ class NotWeightedHomogeneous(ValueError):
 
 class PreconditionUnmet(ValueError):
     """An operation's documented precondition does not hold for the given input."""
+
+
+class NotOnRoyalVariety(PreconditionUnmet):
+    """The point is not on the royal variety {(2*lam, lam**2)}.
+
+    A PreconditionUnmet: the certify pipeline needs the origin image on it.
+    """

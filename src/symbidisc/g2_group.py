@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .disc_moebius import (
     A_MODULUS_LIMIT,
-    DEFAULT_TOL,
     DiscAutomorphism,
     apply_moebius,
     compose,
@@ -24,7 +23,7 @@ from .disc_moebius import (
     make_moebius,
 )
 from .errors import DenominatorDegenerate, NotOnRoyalVariety
-from .sym_geometry import SymPoint, _roots, royal_param, symmetrize
+from .sym_geometry import DEFAULT_TOL, SymPoint, _roots, royal_param, symmetrize
 
 # Below this the rational form's denominator (1 - conj(a)*s + conj(a)**2 * p),
 # which equals the product (1 - conj(a)*root1)(1 - conj(a)*root2), is degenerate.

@@ -13,7 +13,7 @@ from typing import Any
 
 from .disc_moebius import DiscAutomorphism, make_moebius
 from .g2_group import G2Automorphism, Jacobian2, lift
-from .proof_lab import CandidateMap, CommutatorReport, make_candidate
+from .proof_lab import DEGREE_CAP, CandidateMap, CommutatorReport, make_candidate
 from .sym_geometry import MembershipVerdict, SymPoint
 
 
@@ -99,7 +99,7 @@ def candidate_from_json(obj: Any) -> CandidateMap:
             complex_from_json(entry.get("S", 0.0)),
             complex_from_json(entry.get("P", 0.0)),
         )
-    return make_candidate(table, _exponent(obj.get("degree_cap", 4)))
+    return make_candidate(table, _exponent(obj.get("degree_cap", DEGREE_CAP)))
 
 
 def _exponent(obj: Any) -> int:

@@ -50,10 +50,10 @@ from .errors import (
     PreconditionUnmet,
     SingularJacobian,
 )
-from .disc_moebius import DEFAULT_TOL, _canonical_params, _product, make_moebius
+from .disc_moebius import _canonical_params, _product, make_moebius
 from .g2_group import Jacobian2, _lift_form, apply_g2, compose_g2, rotation, transport_to_origin
 from .sampling import random_disc_points, random_moebius_params, rng_from_seed
-from .sym_geometry import ORIGIN, SymPoint, in_g2, in_sigma2
+from .sym_geometry import ORIGIN, SymPoint, in_g2
 
 # Schwarz-lemma constant: p -> S(0, p) is holomorphic on |p| < 1 (the points (0, p)
 # have roots of modulus sqrt(|p|), hence lie in the domain), is bounded by sup|S| <= 2,
@@ -69,9 +69,12 @@ NO_GROWTH_THRESHOLD = 1e-12
 # modulus is about 0.81). The grid rule is exact on monomials of degree below 16 in
 # each variable; higher ones alias onto lower ones, damped by the radii to the 16th
 # power. Reading coefficient (j, k) divides by 0.5**j * 0.25**k, at most 16 for
-# j + 2k <= 4, so rounding noise is barely amplified.
+# j + 2k <= DEGREE_CAP, so rounding noise is barely amplified.
 TORUS_RADII = (0.5, 0.25)
 TORUS_POINTS = 16
+
+# The weighted degree j + 2k at which candidates and extracted Taylor tables stop.
+DEGREE_CAP = 4
 
 # The royal check's seeded sample.
 ROYAL_SAMPLES = 64
@@ -94,14 +97,14 @@ class CandidateMap(NamedTuple):
     """
 
     terms: Mapping[tuple[int, int], tuple[complex, complex]]
-    degree_cap: int = 4
+    degree_cap: int = DEGREE_CAP
 
     def __call__(self, pt: SymPoint) -> SymPoint:
         return evaluate_candidate(self, pt)
 
 
 def make_candidate(terms: Mapping[tuple[int, int], tuple[complex, complex]],
-                   degree_cap: int = 4) -> CandidateMap:
+                   degree_cap: int = DEGREE_CAP) -> CandidateMap:
     """Validate and canonicalize a coefficient table (sorted keys, complex values)."""
     clean: dict[tuple[int, int], tuple[complex, complex]] = {}
     for (j, k), (cs, cp) in sorted(terms.items()):
@@ -122,24 +125,12 @@ def make_candidate(terms: Mapping[tuple[int, int], tuple[complex, complex]],
 
 def evaluate_candidate(F: CandidateMap, pt: SymPoint) -> SymPoint:
     """F at pt, whose coordinates are complex scalars or complex128 arrays alike."""
-    s_pow = _powers(pt.s, max((j for j, _ in F.terms), default=0))
-    p_pow = _powers(pt.p, max((k for _, k in F.terms), default=0))
-    S = 0j
-    P = 0j
+    S = P = 0j
     for (j, k), (cs, cp) in F.terms.items():
-        # a factor s**0 or p**0 is skipped: on arrays every product is a pass
-        mono = s_pow[j] * p_pow[k] if j and k else s_pow[j] if j else p_pow[k]
+        mono = pt.s**j * pt.p**k
         S += cs * mono
         P += cp * mono
     return SymPoint(S, P)
-
-
-def _powers(z, top: int) -> list:
-    """[1, z, z**2, ..., z**top] (at least [1, z]), by repeated multiplication."""
-    table = [1.0, z]
-    for _ in range(top - 1):
-        table.append(table[-1] * z)
-    return table
 
 
 def origin_jacobian(F: CandidateMap) -> Jacobian2:
@@ -242,18 +233,17 @@ def commutator_experiment(F: CandidateMap, tau: complex, n_max: int = 64) -> Com
 # The weighted-homogeneous form and the royal check
 # ---------------------------------------------------------------------------
 
-def weighted_form_extract(F: CandidateMap, tol: float = DEFAULT_TOL
-                          ) -> tuple[complex, complex, complex]:
+def weighted_form_extract(F: CandidateMap) -> tuple[complex, complex, complex]:
     """Read off (alpha, d, C) from a map of the form (alpha*s, d*p + C*s**2).
 
-    Any other monomial with coefficient above tol disqualifies the candidate;
+    Any other monomial with coefficient above CERTIFY_TOL disqualifies the candidate;
     commuting with every rotation allows weight 1 in S and weight 2 in P only.
     """
     violations = []
     for (j, k), (cs, cp) in F.terms.items():
-        if (j, k) != (1, 0) and abs(cs) > tol:
+        if (j, k) != (1, 0) and abs(cs) > CERTIFY_TOL:
             violations.append(("S", j, k))
-        if (j, k) not in ((0, 1), (2, 0)) and abs(cp) > tol:
+        if (j, k) not in ((0, 1), (2, 0)) and abs(cp) > CERTIFY_TOL:
             violations.append(("P", j, k))
     if violations:
         raise NotWeightedHomogeneous(sorted(violations))
@@ -287,12 +277,17 @@ def force_c_zero(map_like: Callable[[SymPoint], SymPoint]) -> tuple[bool, float]
     and its image. A map (s, p + C*s**2) moves the p-coordinate by 4*C*lam**2, and
     since the map itself is read, so does a term of any degree that does not vanish
     on the royal variety. Any map the pipeline takes works, a CandidateMap included.
+    A non-finite image of a royal point raises ArithmeticError, as one on the torus
+    grid does in fit_candidate.
     """
     import numpy as np
 
     pts = _royal_points()
     img = map_like(pts)
-    residual = float(max(np.max(abs(pts.s - img.s)), np.max(abs(pts.p - img.p))))
+    # np.maximum, unlike max, passes a NaN on
+    residual = float(np.max(np.maximum(abs(pts.s - img.s), abs(pts.p - img.p))))
+    if not math.isfinite(residual):
+        raise ArithmeticError("the map has a non-finite value on the royal sample")
     return residual <= CERTIFY_TOL, residual
 
 
@@ -359,21 +354,20 @@ def _cauchy_rows():
     return _read_only(*(dft / (n * r ** m[:, None]) for r in TORUS_RADII))
 
 
-def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4) -> CandidateMap:
-    """Taylor coefficients of an origin-fixing map, truncated at weighted degree degree_cap.
+def fit_candidate(map_like: Callable[[SymPoint], SymPoint]) -> CandidateMap:
+    """Taylor coefficients of an origin-fixing map, truncated at weighted degree DEGREE_CAP.
 
     Calls the map once at the origin and once on the whole TORUS_POINTS x TORUS_POINTS
     grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), held as read-only arrays in
     one SymPoint, and applies to the values the rows of the 16-point DFT that are
     read: entry (j, k), divided by the grid size and by r_s**j * r_p**k, is the
     trapezoidal-rule Cauchy integral for the coefficient of s**j * p**k. Only
-    monomials with j + 2k <= degree_cap are kept, since higher ones would amplify
-    rounding by r**-(j+2k). A non-finite image on the grid raises ArithmeticError.
+    monomials with j + 2k <= DEGREE_CAP are kept, since higher ones would amplify
+    rounding by r**-(j+2k). An origin image farther than CERTIFY_TOL from the origin
+    raises PreconditionUnmet, a non-finite image on the grid ArithmeticError.
     """
     import numpy as np
 
-    if not 0 < degree_cap < TORUS_POINTS:
-        raise ParameterOutOfDomain(f"degree cap {degree_cap} must lie in 1..{TORUS_POINTS - 1}")
     at_origin = map_like(ORIGIN)
     # negated, so that a NaN image fails the test
     if not (abs(at_origin.s) <= CERTIFY_TOL and abs(at_origin.p) <= CERTIFY_TOL):
@@ -383,12 +377,12 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint], degree_cap: int = 4)
     values = np.concatenate((images.s, images.p)).reshape(2, n, n)
     if not np.isfinite(values).all():
         raise ArithmeticError("the map has a non-finite value on the torus grid")
-    js, ks = degree_cap + 1, degree_cap // 2 + 1
+    js, ks = DEGREE_CAP + 1, DEGREE_CAP // 2 + 1
     rows_s, rows_p = _cauchy_rows()
     S, P = (rows_s[:js] @ values @ rows_p[:ks].T).tolist()
     terms = {(j, k): (S[j][k], P[j][k]) for k in range(ks) for j in range(js - 2 * k)}
     del terms[(0, 0)]  # the constant term is the origin image, checked above
-    return make_candidate(terms, degree_cap)
+    return make_candidate(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -414,18 +408,19 @@ class PipelineReport:
 def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineReport:
     """Drive a map through the full forcing chain and report the extracted form.
 
-    The chain runs one fixed configuration: tolerance CERTIFY_TOL, fit_candidate's
-    default degree cap and the seeded royal sample.
+    The chain runs one fixed configuration: tolerance CERTIFY_TOL, degree cap
+    DEGREE_CAP and the seeded royal sample.
 
     Every map, group element or black box alike, takes the same stages:
 
-      1. transport: find the royal transport that moves the image of the origin
-         back to the origin;
+      1. transport: find with `transport_to_origin` the royal transport that moves
+         the image of the origin back to the origin;
       2. extraction: read the Taylor coefficients of the transported map (the
          transport applied after the map) with `fit_candidate`;
-      3. weighted form: read off (alpha, d, C) with `weighted_form_extract` and
-         divide out the unit rotation rot taken from the extracted s-coefficient of
-         S (the Jacobian's (1,1) entry): alpha by rot, d and C by rot**2;
+      3. weighted form: read off (alpha, d, C) at CERTIFY_TOL with
+         `weighted_form_extract` and divide out the unit rotation rot taken from
+         the extracted s-coefficient of S (the Jacobian's (1,1) entry): alpha by
+         rot, d and C by rot**2;
       4. royal check: run `force_c_zero` on the map itself, followed by the
          transport and the inverse rotation, which forces C = 0.
 
@@ -436,13 +431,11 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     inside `force_c_zero`.
 
     Raises NotWeightedHomogeneous when the normalized map does not commute with
-    rotations, and PreconditionUnmet when the origin image is off the royal variety.
+    rotations, NotOnRoyalVariety (a PreconditionUnmet) when the origin image is off
+    the royal variety, and ArithmeticError when the map has a non-finite value on
+    the torus grid or the royal sample.
     """
     img = map_like(ORIGIN)
-    member, residual = in_sigma2(img, CERTIFY_TOL)
-    if not member:
-        raise PreconditionUnmet(
-            f"origin image {img} is off the royal variety (residual {residual})")
     transport = transport_to_origin(img, CERTIFY_TOL)
     raw = fit_candidate(lambda q: apply_g2(transport, map_like(q)))
 
@@ -451,7 +444,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
         raise PreconditionUnmet(f"degenerate rotation part |m11| = {abs(m11)}")
     rot = m11 / abs(m11)
     rot_inv = rot.conjugate()
-    alpha, d, C = weighted_form_extract(raw, CERTIFY_TOL)
+    alpha, d, C = weighted_form_extract(raw)
     alpha, d, C = rot_inv * alpha, rot_inv * rot_inv * d, rot_inv * rot_inv * C
     undo = compose_g2(rotation(rot_inv), transport)
     royal_ok, royal_residual = force_c_zero(lambda q: apply_g2(undo, map_like(q)))

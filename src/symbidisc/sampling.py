@@ -21,6 +21,9 @@ from .sym_geometry import SymPoint, symmetrize
 if TYPE_CHECKING:
     import numpy as np
 
+# random_moebius and random_moebius_params draw |a| below this.
+MAX_A = 0.95
+
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     import numpy as np
@@ -61,8 +64,7 @@ def random_interior(rng: np.random.Generator) -> SymPoint:
     return symmetrize(random_disc(rng), random_disc(rng))
 
 
-def random_moebius_params(rng: np.random.Generator, count: int,
-                          max_a: float = 0.95) -> tuple[np.ndarray, np.ndarray]:
+def random_moebius_params(rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked (tau, a) of `count` seeded disc automorphisms, as complex128 arrays.
 
     Row i of one rng.random((count, 3)) draw holds tau's angle, a's area-uniform
@@ -71,9 +73,9 @@ def random_moebius_params(rng: np.random.Generator, count: int,
     validates the result.
     """
     u = rng.random((count, 3))
-    return _unit_points(u[:, 0]), _disc_points(u[:, 1:], max_a)
+    return _unit_points(u[:, 0]), _disc_points(u[:, 1:], MAX_A)
 
 
-def random_moebius(rng: np.random.Generator, max_a: float = 0.95) -> DiscAutomorphism:
-    tau, a = random_moebius_params(rng, 1, max_a)
+def random_moebius(rng: np.random.Generator) -> DiscAutomorphism:
+    tau, a = random_moebius_params(rng, 1)
     return make_moebius(tau[0], a[0])

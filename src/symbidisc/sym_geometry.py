@@ -10,8 +10,10 @@ from __future__ import annotations
 import cmath
 from typing import NamedTuple
 
-from .disc_moebius import DEFAULT_TOL
 from .errors import NotOnRoyalVariety
+
+# The default membership and royal-variety tolerance.
+DEFAULT_TOL = 1e-9
 
 
 class SymPoint(NamedTuple):

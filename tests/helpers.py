@@ -91,8 +91,8 @@ def g2_equal(H1, H2, tol: float) -> bool:
     return moebius_equal(H1.h, H2.h, tol)
 
 
-def identity_candidate(degree_cap: int = 4):
-    return make_candidate({(1, 0): (1.0, 0.0), (0, 1): (0.0, 1.0)}, degree_cap)
+def identity_candidate():
+    return make_candidate({(1, 0): (1.0, 0.0), (0, 1): (0.0, 1.0)})
 
 
 def rotation_commutation_residual(F, tau: complex, samples: int, seed: int) -> float:

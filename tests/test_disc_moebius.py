@@ -11,7 +11,7 @@ from symbidisc import (
     invert,
     make_moebius,
 )
-from symbidisc.sampling import random_disc, random_moebius, random_unit, rng_from_seed
+from symbidisc.sampling import MAX_A, random_disc, random_moebius, random_unit, rng_from_seed
 
 from helpers import disc_complex, identity, moebius, moebius_equal, unit_complex
 
@@ -29,6 +29,12 @@ class TestConstruction:
         h = make_moebius(1j, 0.3 + 0.4j)
         assert abs(apply_moebius(h, 0.3 + 0.4j)) == 0
         assert abs(apply_moebius(h, 0.9)) < 1
+
+    def test_random_moebius_draws_below_max_a(self):
+        # 1000 seeded draws fill the disc |a| < MAX_A up to its rim, and never beyond
+        rng = rng_from_seed(78)
+        largest = max(abs(random_moebius(rng).a) for _ in range(1000))
+        assert 0.9 < largest < MAX_A
 
     def test_tau_renormalized(self):
         h = make_moebius((1 + 5e-7) * cmath.exp(0.3j), 0.1)
@@ -156,7 +162,7 @@ class TestEquality:
         probes = (0, 0.5, 0.5j)
         rng = rng_from_seed(77)
         for _ in range(200):
-            h = random_moebius(rng, max_a=0.9)
+            h = random_moebius(rng)
             near = make_moebius(h.tau * cmath.exp(1e-13j), h.a + 1e-13)
             assert max(abs(apply_moebius(h, z) - apply_moebius(near, z))
                        for z in probes) <= 1e-12

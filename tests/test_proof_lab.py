@@ -8,6 +8,7 @@ from symbidisc import (
     DenominatorDegenerate,
     Jacobian2,
     NotNormalized,
+    NotOnRoyalVariety,
     NotWeightedHomogeneous,
     ORIGIN,
     ParameterOutOfDomain,
@@ -52,17 +53,17 @@ from symbidisc.sampling import (
 from helpers import identity_candidate, rotation_commutation_residual
 
 
-def shear(b, d, cap=4):
+def shear(b, d):
     """Candidate with origin Jacobian [[1, b], [0, d]]."""
-    return make_candidate({(1, 0): (1, 0), (0, 1): (b, d)}, cap)
+    return make_candidate({(1, 0): (1, 0), (0, 1): (b, d)})
 
 
 NAN = complex("nan")
 
 
-def homogeneous(alpha, d, c, cap=4):
+def homogeneous(alpha, d, c):
     """Candidate (alpha*s, d*p + c*s**2): the rotation-commuting family."""
-    return make_candidate({(1, 0): (alpha, 0), (0, 1): (0, d), (2, 0): (0, c)}, cap)
+    return make_candidate({(1, 0): (alpha, 0), (0, 1): (0, d), (2, 0): (0, c)})
 
 
 class TestCandidateMap:
@@ -272,7 +273,7 @@ class TestRotationCommutation:
                 F = make_candidate(terms)
             residual = rotation_commutation_residual(F, tau, 128, i)
             try:
-                weighted_form_extract(F, 1e-9)
+                weighted_form_extract(F)
                 assert residual <= 1e-10
             except NotWeightedHomogeneous:
                 assert residual > 1e-10
@@ -293,7 +294,18 @@ class TestWeightedFormExtract:
 
     def test_tolerance_filters_noise(self):
         F = make_candidate({(1, 0): (1, 1e-12), (0, 1): (1e-12, 1)})
-        assert weighted_form_extract(F, 1e-9)[0] == 1
+        assert weighted_form_extract(F)[0] == 1
+
+    def test_reads_at_the_certify_tolerance(self):
+        # a stray P coefficient of s is noise below CERTIFY_TOL and a violation above it
+        def stray(c):
+            return make_candidate({(1, 0): (1, c), (0, 1): (0, 1)})
+
+        tol = proof_lab.CERTIFY_TOL
+        assert weighted_form_extract(stray(0.5 * tol)) == (1, 1, 0)
+        with pytest.raises(NotWeightedHomogeneous) as err:
+            weighted_form_extract(stray(2 * tol))
+        assert err.value.violations == [("P", 1, 0)]
 
 
 class TestForceCZero:
@@ -323,6 +335,18 @@ class TestForceCZero:
         assert not ok and residual >= 1.0  # |(1j - 1) * 2*lam| with max|lam| near 0.9
         ok, residual = force_c_zero(make_candidate({(1, 0): (1, 0), (0, 1): (1, 1)}))
         assert not ok and residual >= 0.5  # |lam**2|
+
+    @pytest.mark.parametrize("coordinate", ["s", "p"])
+    def test_nan_image_raises(self, coordinate):
+        # the identity but at royal point 5; Python's max() would drop a NaN that is
+        # not its first argument and pass the map
+        def map_like(q):
+            s, p = q.s.copy(), q.p.copy()
+            (s if coordinate == "s" else p)[5] = NAN
+            return SymPoint(s, p)
+
+        with pytest.raises(ArithmeticError):
+            force_c_zero(map_like)
 
     def test_candidate_and_its_evaluation_agree_bit_for_bit(self):
         F = homogeneous(1, 1, 0.3)
@@ -397,7 +421,7 @@ class TestFitCandidate:
     def test_recovers_rotation_coefficients(self):
         tau = cmath.exp(0.4j)
         F = fit_candidate(rotation(tau))
-        alpha, d, c = weighted_form_extract(F, 1e-9)
+        alpha, d, c = weighted_form_extract(F)
         assert abs(alpha - tau) <= 1e-10
         assert abs(d - tau * tau) <= 1e-10
         assert abs(c) <= 1e-10
@@ -435,16 +459,15 @@ class TestFitCandidate:
         with pytest.raises(ArithmeticError):
             fit_candidate(map_like)
 
-    @pytest.mark.parametrize("cap", range(1, proof_lab.TORUS_POINTS))
-    def test_recovers_every_monomial_for_every_cap(self, cap):
-        # a seeded candidate using every monomial j + 2k <= cap: the grid rule is exact
-        # on it, so only rounding, amplified by 1/(r_s**j * r_p**k), is left
+    def test_recovers_every_monomial(self):
+        # a seeded candidate using every monomial j + 2k <= DEGREE_CAP: the grid rule is
+        # exact on it, so only rounding, amplified by 1/(r_s**j * r_p**k), is left
+        cap = proof_lab.DEGREE_CAP
         rs, rp = proof_lab.TORUS_RADII
         keys = [(j, k) for k in range(cap // 2 + 1) for j in range(cap + 1 - 2 * k)][1:]
         coef = random_disc_points(rng_from_seed(100 + cap), 2 * len(keys), 1.0).tolist()
-        F = make_candidate({key: (coef[2 * i], coef[2 * i + 1]) for i, key in enumerate(keys)},
-                           cap)
-        fitted = fit_candidate(F, cap)
+        F = make_candidate({key: (coef[2 * i], coef[2 * i + 1]) for i, key in enumerate(keys)})
+        fitted = fit_candidate(F)
         assert fitted.terms.keys() == F.terms.keys()
         for (j, k), (cs, cp) in F.terms.items():
             gs, gp = fitted.terms[(j, k)]
@@ -534,6 +557,14 @@ class TestPipeline:
         with pytest.raises(PreconditionUnmet):
             normalize_and_extract(bad)
 
+    @pytest.mark.parametrize("origin_image", [SymPoint(0.5, 0), SymPoint(2, 1)],
+                             ids=["off_the_variety", "outside_the_disc"])
+    def test_origin_image_is_checked_by_the_transport(self, origin_image):
+        # one royal-variety check, transport_to_origin's, raising a PreconditionUnmet
+        with pytest.raises(NotOnRoyalVariety):
+            normalize_and_extract(lambda q: SymPoint(q.s + origin_image.s, q.p + origin_image.p))
+        assert issubclass(NotOnRoyalVariety, PreconditionUnmet)
+
     def test_group_b_vanishes_at_origin(self):
         rng = rng_from_seed(47)
         for _ in range(200):
@@ -599,7 +630,7 @@ PIPELINE_MAPS = {
     "black_box": [lambda q, H=H: apply_g2(H, q) for H in _seeded_elements(61, 6)],
     "injected": [_injected(H, C) for H, C in zip(_seeded_elements(62, 6),
                                                    (0.05, 0.1, 0.2, 0.3, 0.4, 0.5))],
-    "fallback": [_halving(H) for H in _seeded_elements(63, 6)],
+    "halving": [_halving(H) for H in _seeded_elements(63, 6)],
 }
 
 
@@ -654,8 +685,8 @@ class TestArrayPipeline:
                        for key, (cs, cp) in table.items()) <= bound
         assert len(tables) == len(PIPELINE_MAPS[kind])
 
-    def test_fallback_and_injected_paths_are_taken(self):
-        for map_like in PIPELINE_MAPS["fallback"]:
+    def test_halving_and_injected_maps_are_rejected(self):
+        for map_like in PIPELINE_MAPS["halving"]:
             report = normalize_and_extract(map_like)
             assert not report.royal_ok and abs(report.d - 0.5) <= 1e-8
         for map_like in PIPELINE_MAPS["injected"]:
@@ -715,10 +746,26 @@ class TestArrayPipeline:
             normalize_and_extract(map_like)
         assert excinfo.type is ArithmeticError
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_nan_on_a_royal_point_raises(self):
+        # a group element everywhere but at royal point 5; the report would carry
+        # royal_residual = nan
+        H = PIPELINE_MAPS["group_element"][0]
+
+        def map_like(q):
+            image = apply_g2(H, q)
+            if np.ndim(q.s) and q.s.shape == (proof_lab.ROYAL_SAMPLES,):
+                image.s[5] = NAN
+            return image
+
+        with pytest.raises(ArithmeticError) as excinfo:
+            normalize_and_extract(map_like)
+        assert excinfo.type is ArithmeticError
+
     def test_fixed_inputs_are_built_once(self, monkeypatch):
         # after the first certify the torus grid, DFT rows and royal sample are cached:
         # no generator, FFT, exp, sin/cos or grid layout runs again
-        maps = [PIPELINE_MAPS[kind][0] for kind in ("black_box", "injected", "fallback")]
+        maps = [PIPELINE_MAPS[kind][0] for kind in ("black_box", "injected", "halving")]
         before = [normalize_and_extract(map_like) for map_like in maps]
 
         def forbidden(*args, **kwargs):
@@ -732,7 +779,7 @@ class TestArrayPipeline:
         assert [normalize_and_extract(map_like) for map_like in maps] == before
 
     def test_cached_inputs_match_fresh_builds(self):
-        normalize_and_extract(PIPELINE_MAPS["fallback"][0])  # fills every cache
+        normalize_and_extract(PIPELINE_MAPS["halving"][0])  # fills every cache
         for cached, fresh in ((proof_lab._torus_grid(), proof_lab._torus_grid.__wrapped__()),
                               (proof_lab._royal_points(), proof_lab._royal_points.__wrapped__())):
             for a, b in ((cached.s, fresh.s), (cached.p, fresh.p)):
@@ -742,7 +789,7 @@ class TestArrayPipeline:
             assert cached.tobytes() == fresh.tobytes() and not cached.flags.writeable
 
     @pytest.mark.parametrize("kind,size", [("black_box", proof_lab.TORUS_POINTS ** 2),
-                                           ("fallback", proof_lab.ROYAL_SAMPLES)],
+                                           ("halving", proof_lab.ROYAL_SAMPLES)],
                              ids=["torus_grid", "royal_points"])
     def test_map_writing_into_its_input_raises(self, kind, size):
         # the torus grid and the royal sample both reach every map
