@@ -4,7 +4,7 @@ The symmetrized bidisc is the image of the unit bidisc under
 (lam1, lam2) -> (lam1 + lam2, lam1 * lam2). Its automorphisms are exactly the lifts
 of disc automorphisms acting on both roots at once; this package provides that group
 in canonical coordinates together with a numerical lab that enacts every computable
-step of the characterization argument.
+step of the characterization argument. The lab's names load on first access.
 """
 
 from .disc_moebius import (
@@ -36,23 +36,6 @@ from .g2_group import (
     rotation,
     transport_to_origin,
 )
-from .proof_lab import (
-    CandidateMap,
-    CommutatorReport,
-    PipelineReport,
-    cauchy_bound_check,
-    commutator_experiment,
-    commutator_jacobian,
-    evaluate_candidate,
-    fit_candidate,
-    force_c_zero,
-    iterate_commutator,
-    make_candidate,
-    normalize_and_extract,
-    orbit_sample,
-    origin_jacobian,
-    weighted_form_extract,
-)
 from .sym_geometry import (
     ORIGIN,
     MembershipVerdict,
@@ -66,3 +49,20 @@ from .sym_geometry import (
 )
 
 __version__ = "0.3.0"
+
+# proof_lab's names, imported on first access (PEP 562), so that the scalar commands
+# load neither proof_lab nor the dataclasses module it needs
+_PROOF_LAB_NAMES = frozenset({
+    "CandidateMap", "CommutatorReport", "PipelineReport", "cauchy_bound_check",
+    "commutator_experiment", "commutator_jacobian", "evaluate_candidate", "fit_candidate",
+    "force_c_zero", "iterate_commutator", "make_candidate", "normalize_and_extract",
+    "orbit_sample", "origin_jacobian", "weighted_form_extract",
+})
+
+
+def __getattr__(name: str):
+    if name in _PROOF_LAB_NAMES:
+        from . import proof_lab
+
+        return getattr(proof_lab, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

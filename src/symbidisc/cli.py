@@ -33,7 +33,6 @@ from .jsonio import (
     sympoint_to_json,
     verdict_to_json,
 )
-from .proof_lab import _orbit_arrays, commutator_experiment
 from .sym_geometry import DEFAULT_TOL, in_g2, in_sigma2
 
 EXIT_USAGE = 64
@@ -105,6 +104,8 @@ def _cmd_transport(args) -> int:
 def _cmd_orbit(args) -> int:
     import numpy as np
 
+    from .proof_lab import _orbit_arrays
+
     pt = _parse(args.point, sympoint_from_json)
     S, P = _orbit_arrays(pt, args.samples, args.seed)
     sr, si, pr, pi = S.real, S.imag, P.real, P.imag
@@ -129,6 +130,8 @@ def _rotation_from_json(obj) -> complex:
 
 
 def _cmd_commutator(args) -> int:
+    from .proof_lab import commutator_experiment
+
     F = _parse(args.candidate, candidate_from_json)
     tau = _parse(args.tau, _rotation_from_json)
     report = commutator_experiment(F, tau, args.n_max)

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import cmath
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from .disc_moebius import DiscAutomorphism, make_moebius
 from .g2_group import G2Automorphism, Jacobian2, lift
-from .proof_lab import DEGREE_CAP, CandidateMap, CommutatorReport, make_candidate
 from .sym_geometry import MembershipVerdict, SymPoint
+
+if TYPE_CHECKING:  # proof_lab is imported only by the decoder that needs it
+    from .proof_lab import CandidateMap, CommutatorReport
 
 
 def complex_to_json(z: complex) -> dict:
@@ -84,6 +86,8 @@ def jacobian_to_json(J: Jacobian2) -> list:
 
 
 def candidate_from_json(obj: Any) -> CandidateMap:
+    from .proof_lab import DEGREE_CAP, make_candidate
+
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ValueError("candidate needs key 'terms'")
     if not isinstance(obj["terms"], list):

@@ -125,6 +125,8 @@ def make_candidate(terms: Mapping[tuple[int, int], tuple[complex, complex]],
 
 def evaluate_candidate(F: CandidateMap, pt: SymPoint) -> SymPoint:
     """F at pt, whose coordinates are complex scalars or complex128 arrays alike."""
+    if not F.terms:  # the zero map, in the input's shape; adding 0j flushes negative zeros
+        return SymPoint(0j * pt.s + 0j, 0j * pt.p + 0j)
     S = P = 0j
     for (j, k), (cs, cp) in F.terms.items():
         mono = pt.s**j * pt.p**k

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symbidisc import cli
+from symbidisc import cli, proof_lab
 from symbidisc.cli import CSV_HEADER, main
 
 
@@ -181,7 +181,7 @@ class TestOrbit:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_image_exits_65(self, capsys, monkeypatch, fmt):
         nan = np.array([0.5, complex("nan")])
-        monkeypatch.setattr(cli, "_orbit_arrays", lambda pt, count, seed: (nan, nan))
+        monkeypatch.setattr(proof_lab, "_orbit_arrays", lambda pt, count, seed: (nan, nan))
         code, out, err = run(capsys, "orbit", point(0.5, 0), "--samples", "2", "--format", fmt)
         assert code == 65 and out == "" and err != ""
 
@@ -298,6 +298,33 @@ def test_scalar_commands_do_not_import_numpy():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 4
+
+
+def test_scalar_commands_do_not_load_the_proof_lab(capsys):
+    # the proof lab, and the dataclasses module its PipelineReport needs, load only
+    # for orbit and commutator; commutator then prints the bytes that
+    # TestCommutator.test_output_bytes_are_pinned pins in process
+    candidate = json.dumps({"degree_cap": 4, "terms": [
+        {"j": 0, "k": 1, "S": 0.7, "P": {"re": 0.5, "im": 0.3}},
+        {"j": 1, "k": 0, "S": 1, "P": 0}]})
+    tau = '{"re": 0.6216099682706644, "im": 0.7833269096274834}'
+    lean = ["symbidisc.proof_lab", "symbidisc.sampling", "dataclasses", "numpy"]
+    script = "\n".join([
+        "import sys",
+        "from symbidisc.cli import main",
+        "main(['membership', '{\"s\": 0.9, \"p\": 0.2}'])",
+        "main(['apply', '{\"h\": {\"tau\": 1, \"a\": 0.4}}', '{\"s\": 0.8, \"p\": 0.16}'])",
+        "main(['transport', '{\"s\": 1.0, \"p\": 0.25}'])",
+        f"print([name for name in {lean!r} if name in sys.modules])",
+        f"sys.exit(main(['commutator', {candidate!r}, '--tau', {tau!r}]))",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    lines = proc.stdout.splitlines(keepends=True)
+    assert lines[3] == "[]\n"
+    assert run(capsys, "commutator", candidate, "--tau", tau) == (4, lines[4], "")
 
 
 # ---------------------------------------------------------------------------

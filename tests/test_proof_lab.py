@@ -84,6 +84,14 @@ class TestCandidateMap:
         with pytest.raises(ParameterOutOfDomain):
             make_candidate({(1, 2): (1, 0)})  # weight 5 > default cap 4
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 4)])
+    def test_empty_candidate_keeps_the_input_shape(self, shape):
+        s = np.full(shape, 0.3 + 0.1j)
+        img = evaluate_candidate(make_candidate({}), SymPoint(s, 0.5 * s))
+        for coord in img:
+            assert np.shape(coord) == shape
+            assert np.all(coord == 0)
+
     def test_origin_jacobian_readout(self):
         F = shear(1 + 2j, 3)
         J = origin_jacobian(F)
@@ -551,6 +559,10 @@ class TestPipeline:
         F = make_candidate({(1, 0): (1, 0), (0, 1): (0, 1), (2, 0): (0.4, 0)})
         with pytest.raises(NotWeightedHomogeneous):
             normalize_and_extract(F)
+
+    def test_zero_map_has_a_degenerate_rotation_part(self):
+        with pytest.raises(PreconditionUnmet, match="degenerate rotation part"):
+            normalize_and_extract(make_candidate({}))
 
     def test_off_royal_origin_image_raises(self):
         bad = lambda pt: SymPoint(pt.s + 0.5, pt.p)  # noqa: E731

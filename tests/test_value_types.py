@@ -1,4 +1,5 @@
-"""The value types' contract, and a guard that keeps dataclasses off the import path.
+"""The value types' contract, and guards that keep dataclasses and the proof lab off
+the import path.
 
 The point and group value types are typing.NamedTuples: immutable, without a
 __dict__, and printed as Name(field=value, ...). Error messages embed that repr, so
@@ -6,6 +7,9 @@ it is pinned here on one seeded instance of each type.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -127,3 +131,84 @@ def test_pipeline_report_is_the_only_dataclass():
                  if isinstance(node, ast.ClassDef)
                  and any(is_dataclass_decorator(d) for d in node.decorator_list)}
     assert decorated == {"proof_lab.PipelineReport"}
+
+
+# ---------------------------------------------------------------------------
+# Guard: proof_lab, the one module that needs dataclasses, loads only on use
+# ---------------------------------------------------------------------------
+
+# the proof-lab names the package served eagerly before they became lazy
+PROOF_LAB_EXPORTS = [
+    "CandidateMap", "CommutatorReport", "PipelineReport", "cauchy_bound_check",
+    "commutator_experiment", "commutator_jacobian", "evaluate_candidate", "fit_candidate",
+    "force_c_zero", "iterate_commutator", "make_candidate", "normalize_and_extract",
+    "orbit_sample", "origin_jacobian", "weighted_form_extract",
+]
+
+
+def test_proof_lab_names_load_on_first_access():
+    script = "\n".join([
+        "import sys",
+        "import symbidisc",
+        "assert 'symbidisc.proof_lab' not in sys.modules, 'imported with the package'",
+        "from symbidisc import normalize_and_extract",
+        "import symbidisc.proof_lab as pl",
+        "assert normalize_and_extract is pl.normalize_and_extract",
+        f"assert all(getattr(symbidisc, n) is getattr(pl, n) for n in {PROOF_LAB_EXPORTS!r})",
+        "try:",
+        "    symbidisc.no_such_name",
+        "except AttributeError as exc:",
+        "    print(exc)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'symbidisc' has no attribute 'no_such_name'\n"
+
+
+def imports_proof_lab(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "symbidisc.proof_lab" for alias in node.names)
+    if not isinstance(node, ast.ImportFrom):
+        return False
+    module = node.module or ""
+    return (module in ("proof_lab", "symbidisc.proof_lab")
+            or (module in ("", "symbidisc") and any(a.name == "proof_lab" for a in node.names)))
+
+
+def import_time_statements(body):
+    """The statements run on import: all but function bodies and `if TYPE_CHECKING:`."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            yield from import_time_statements(node.orelse)
+            continue
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from import_time_statements(getattr(node, field, []))
+
+
+def module_level_proof_lab_importers(trees: dict) -> set:
+    return {name for name, tree in trees.items()
+            if any(imports_proof_lab(node) for node in import_time_statements(tree.body))}
+
+
+def test_no_module_imports_proof_lab_on_import():
+    assert module_level_proof_lab_importers(parsed_modules()) == set()
+
+
+def test_proof_lab_guard_sees_only_import_time_statements():
+    trees = {name: ast.parse(code) for name, code in {
+        "top": "from .proof_lab import make_candidate",
+        "absolute": "import symbidisc.proof_lab as pl",
+        "from_package": "from . import proof_lab",
+        "class_body": "class A:\n    from .proof_lab import DEGREE_CAP",
+        "else_branch": "if TYPE_CHECKING:\n    pass\nelse:\n    from .proof_lab import X",
+        "in_function": "def f():\n    from .proof_lab import make_candidate",
+        "type_checking": "if TYPE_CHECKING:\n    from .proof_lab import CandidateMap",
+        "other_module": "from .g2_group import lift",
+    }.items()}
+    assert module_level_proof_lab_importers(trees) == {
+        "top", "absolute", "from_package", "class_body", "else_branch"}
