@@ -26,11 +26,11 @@ geometrically in the grid size (Bornemann, Found. Comput. Math. 11, 2011; Trefet
 exact up to rounding. Step 4 reads the map itself on a seeded royal sample, so a
 term above the truncation degree cannot hide from it. Every map it takes works as
 a numpy ufunc does: it gets one SymPoint whose coordinates are complex scalars or
-complex128 arrays and returns a SymPoint of the same shape, so the whole torus grid,
-or the whole royal sample, goes through the map in one call (wrap a scalar-only
-callable with np.vectorize). The grid, the DFT rows and the royal sample are built
-once and are read-only. Orbit sampling supplies the evidence-level companion:
-origin orbits stay on the royal variety, non-royal orbits stay off it.
+complex128 arrays and returns a SymPoint of the same shape, so the torus grid and
+the royal sample, stacked, go through the map in one call (wrap a scalar-only
+callable with np.vectorize). These fixed inputs and the DFT rows are built once and
+are read-only. Orbit sampling supplies the evidence-level companion: origin orbits
+stay on the royal variety, non-royal orbits stay off it.
 
 Everything here is seeded and deterministic; experiment results are pinned by
 (seed, count) alone.
@@ -38,6 +38,7 @@ Everything here is seeded and deterministic; experiment results are pinned by
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -51,7 +52,7 @@ from .errors import (
     SingularJacobian,
 )
 from .disc_moebius import _canonical_params, _product, make_moebius
-from .g2_group import Jacobian2, _lift_form, apply_g2, compose_g2, rotation, transport_to_origin
+from .g2_group import Jacobian2, _lift_form, apply_g2, transport_to_origin
 from .sampling import random_disc_points, random_moebius_params, rng_from_seed
 from .sym_geometry import ORIGIN, SymPoint, in_g2
 
@@ -168,9 +169,11 @@ def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
     """Origin Jacobian of the rotation commutator, J^-1 diag(1/t, 1/t^2) J diag(t, t^2).
 
     For J = [[1, b], [0, d]] the product collapses to [[1, b*(tau-1)], [0, 1]]: the
-    commutator is unipotent no matter what d is.
+    commutator is unipotent no matter what d is; a non-finite entry raises ArithmeticError.
     """
     t = make_moebius(tau, 0j).tau
+    if not all(map(cmath.isfinite, J)):
+        raise ArithmeticError(f"origin Jacobian {J} has a non-finite entry")
     if abs(J.m11 - 1.0) > 1e-8 or abs(J.m21) > 1e-8:
         raise NotNormalized(f"origin Jacobian {J} is not of the form [[1, b], [0, d]]")
     det = J.m11 * J.m22 - J.m12 * J.m21
@@ -190,9 +193,12 @@ def iterate_commutator(J: Jacobian2, tau: complex, n: int) -> Jacobian2:
 def cauchy_bound_check(b: complex, tau: complex) -> tuple[int | None, float]:
     """Smallest n with n*|b|*|tau-1| > 2, or None when the growth rate is nil.
 
-    A None result is the numerical form of the conclusion that b = 0: a genuine
-    self-map of the domain can never push the iterated corner entry past the bound.
+    A None result is the numerical form of the conclusion that b = 0: a genuine self-map
+    of the domain can never push the iterated corner entry past the bound. A non-finite
+    b raises ArithmeticError.
     """
+    if not cmath.isfinite(b):
+        raise ArithmeticError(f"corner entry b = {b} is not finite")
     t = make_moebius(tau, 0j).tau
     per_step = abs(b) * abs(t - 1.0)
     if per_step <= NO_GROWTH_THRESHOLD:
@@ -282,10 +288,14 @@ def force_c_zero(map_like: Callable[[SymPoint], SymPoint]) -> tuple[bool, float]
     A non-finite image of a royal point raises ArithmeticError, as one on the torus
     grid does in fit_candidate.
     """
+    return _royal_verdict(map_like(_royal_points()))
+
+
+def _royal_verdict(img: SymPoint) -> tuple[bool, float]:
+    """force_c_zero's verdict on the images of the royal sample."""
     import numpy as np
 
     pts = _royal_points()
-    img = map_like(pts)
     # np.maximum, unlike max, passes a NaN on
     residual = float(np.max(np.maximum(abs(pts.s - img.s), abs(pts.p - img.p))))
     if not math.isfinite(residual):
@@ -368,13 +378,21 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint]) -> CandidateMap:
     rounding by r**-(j+2k). An origin image farther than CERTIFY_TOL from the origin
     raises PreconditionUnmet, a non-finite image on the grid ArithmeticError.
     """
-    import numpy as np
+    _check_origin_image(map_like(ORIGIN))
+    return _readout(map_like(_torus_grid()))
 
-    at_origin = map_like(ORIGIN)
+
+def _check_origin_image(at_origin: SymPoint) -> None:
+    """Raise PreconditionUnmet unless a map's origin image is within CERTIFY_TOL of it."""
     # negated, so that a NaN image fails the test
     if not (abs(at_origin.s) <= CERTIFY_TOL and abs(at_origin.p) <= CERTIFY_TOL):
         raise PreconditionUnmet(f"map moves the origin to {at_origin}")
-    images = map_like(_torus_grid())
+
+
+def _readout(images: SymPoint) -> CandidateMap:
+    """fit_candidate's Cauchy readout of the map's values on the torus grid."""
+    import numpy as np
+
     n = TORUS_POINTS
     values = np.concatenate((images.s, images.p)).reshape(2, n, n)
     if not np.isfinite(values).all():
@@ -383,8 +401,16 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint]) -> CandidateMap:
     rows_s, rows_p = _cauchy_rows()
     S, P = (rows_s[:js] @ values @ rows_p[:ks].T).tolist()
     terms = {(j, k): (S[j][k], P[j][k]) for k in range(ks) for j in range(js - 2 * k)}
-    del terms[(0, 0)]  # the constant term is the origin image, checked above
+    del terms[(0, 0)]  # the constant term is the origin image, checked apart
     return make_candidate(terms)
+
+
+@functools.cache
+def _certify_points() -> SymPoint:
+    """The torus grid followed by the royal sample, as read-only arrays for one map call."""
+    import numpy as np
+
+    return SymPoint(*_read_only(*map(np.concatenate, zip(_torus_grid(), _royal_points()))))
 
 
 # ---------------------------------------------------------------------------
@@ -416,30 +442,34 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     Every map, group element or black box alike, takes the same stages:
 
       1. transport: find with `transport_to_origin` the royal transport that moves
-         the image of the origin back to the origin;
-      2. extraction: read the Taylor coefficients of the transported map (the
-         transport applied after the map) with `fit_candidate`;
+         the image of the origin back to the origin, to within CERTIFY_TOL;
+      2. extraction: call the map once on the stacked sample, the torus grid
+         followed by the royal sample, transport all its values in one pass, and
+         read the Taylor coefficients off the grid's values as `fit_candidate` does;
       3. weighted form: read off (alpha, d, C) at CERTIFY_TOL with
          `weighted_form_extract` and divide out the unit rotation rot taken from
          the extracted s-coefficient of S (the Jacobian's (1,1) entry): alpha by
          rot, d and C by rot**2;
-      4. royal check: run `force_c_zero` on the map itself, followed by the
-         transport and the inverse rotation, which forces C = 0.
+      4. royal check: rotate the royal sample's transported values by the inverse
+         rotation, (S, P) -> (S/rot, P/rot**2), and judge them as `force_c_zero`
+         does, which forces C = 0.
 
     A genuine group element comes out certified as the identity; a map with a stray
     C, or with any term of higher degree than the extraction reads, fails the royal
-    check. The map is called four times: at the origin for the transport, at the
-    origin and on the torus grid inside `fit_candidate`, and on the royal sample
-    inside `force_c_zero`.
+    check. The map is called twice: at the origin, then on the stacked sample.
 
     Raises NotWeightedHomogeneous when the normalized map does not commute with
     rotations, NotOnRoyalVariety (a PreconditionUnmet) when the origin image is off
-    the royal variety, and ArithmeticError when the map has a non-finite value on
-    the torus grid or the royal sample.
+    the royal variety, DenominatorDegenerate (before the weighted form is read) when a
+    value on the stacked sample sits on the transport's pole, and ArithmeticError when
+    the map has a non-finite value on the torus grid or the royal sample.
     """
     img = map_like(ORIGIN)
     transport = transport_to_origin(img, CERTIFY_TOL)
-    raw = fit_candidate(lambda q: apply_g2(transport, map_like(q)))
+    _check_origin_image(apply_g2(transport, img))
+    moved = apply_g2(transport, map_like(_certify_points()))
+    n = TORUS_POINTS**2
+    raw = _readout(SymPoint(moved.s[:n], moved.p[:n]))
 
     m11 = origin_jacobian(raw).m11
     if abs(m11) < 0.1:
@@ -448,8 +478,8 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     rot_inv = rot.conjugate()
     alpha, d, C = weighted_form_extract(raw)
     alpha, d, C = rot_inv * alpha, rot_inv * rot_inv * d, rot_inv * rot_inv * C
-    undo = compose_g2(rotation(rot_inv), transport)
-    royal_ok, royal_residual = force_c_zero(lambda q: apply_g2(undo, map_like(q)))
+    royal_ok, royal_residual = _royal_verdict(
+        SymPoint(rot_inv * moved.s[n:], rot_inv * rot_inv * moved.p[n:]))
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(
         origin_image=img,

@@ -137,6 +137,17 @@ class TestCommutatorJacobian:
         with pytest.raises(NotNormalized):
             commutator_jacobian(Jacobian2(1, 0, 0.5, 1), -1)
 
+    @pytest.mark.parametrize("entry", range(4), ids=["m11", "m12", "m21", "m22"])
+    @pytest.mark.parametrize("bad", [NAN, complex("inf")], ids=["nan", "inf"])
+    def test_non_finite_entry_raises(self, entry, bad):
+        # the normalization and determinant tests let a NaN through, and the product
+        # would come out all NaN
+        J = list(Jacobian2(1, 0.5, 0, 1))
+        J[entry] = bad
+        with pytest.raises(ArithmeticError, match="non-finite entry") as excinfo:
+            commutator_jacobian(Jacobian2(*J), 1j)
+        assert excinfo.type is ArithmeticError
+
 
 def symbolic_commutator(sympy):
     """Symbols (b, d, t), J^-1 diag(1/t, 1/t^2) J diag(t, t^2) for J = [[1, b], [0, d]],
@@ -212,6 +223,13 @@ class TestCauchyBound:
         assert n_star == 15 and bound == 2.0
         assert 15 * 0.1 * abs(1j - 1) > 2.0
         assert 14 * 0.1 * abs(1j - 1) <= 2.0
+
+    @pytest.mark.parametrize("b", [NAN, complex("inf"), complex(0, float("-inf"))])
+    def test_non_finite_b_raises(self, b):
+        # a NaN growth rate would reach math.floor as a bare ValueError
+        with pytest.raises(ArithmeticError, match="b = .* is not finite") as excinfo:
+            cauchy_bound_check(b, 1j)
+        assert excinfo.type is ArithmeticError
 
     def test_no_growth_threshold_boundary(self):
         # n_star absent exactly when |b| * |tau - 1| stays at or below 1e-12
@@ -528,6 +546,33 @@ class TestPipeline:
             assert report.identity_certified
             assert report.identity_deviation <= 1e-13
 
+    def test_caratheodory_distance_oracle(self):
+        # Agler & Young (J. Geom. Anal. 14, 2004): tanh of the Caratheodory distance
+        # from the origin to (s, p) is (2|s - conj(s) p| + |s^2 - 4p|) / (4 - |s|^2).
+        # An automorphism fixing the origin preserves it, so the normalization
+        # U = R(1/rot) o T, rebuilt from the report alone, must make U o F preserve
+        # it for a genuine F. Worst error measured here: 5.2e-12 (points up to
+        # tanh 0.997); an injected C moves it by 1.69 (C = 0.1) and 0.066 (C = 0.01)
+        def tanh_distance(q):
+            return (2 * abs(q.s - q.s.conjugate() * q.p) + abs(q.s * q.s - 4 * q.p)) / (
+                4 - abs(q.s) ** 2)
+
+        rng = rng_from_seed(2024)
+        points = [random_interior(rng) for _ in range(200)]
+
+        def moved(map_like):
+            report = normalize_and_extract(map_like)
+            U = compose_g2(rotation(report.rotation_divided.conjugate()),
+                           transport_to_origin(report.origin_image, proof_lab.CERTIFY_TOL))
+            return max(abs(tanh_distance(apply_g2(U, map_like(q))) - tanh_distance(q))
+                       for q in points)
+
+        genuine = [lambda q, H=H: apply_g2(H, q) for H in _seeded_elements(2025, 50)]
+        assert max(map(moved, genuine)) <= 5e-11
+        H = _seeded_elements(2026, 1)[0]
+        assert moved(_injected(H, 0.1)) >= 0.5 * 1.69
+        assert moved(_injected(H, 0.01)) >= 0.5 * 0.066
+
     def test_transport_param_matches_origin_image(self):
         h = make_moebius(1j, 0.4)
         report = normalize_and_extract(lift(h))
@@ -681,9 +726,9 @@ class TestArrayPipeline:
     @pytest.mark.parametrize("kind", list(PIPELINE_MAPS))
     def test_matches_per_point_reference(self, monkeypatch, kind):
         tables = []
-        fit = proof_lab.fit_candidate
-        monkeypatch.setattr(proof_lab, "fit_candidate",
-                            lambda map_like: tables.append(fit(map_like)) or tables[-1])
+        readout = proof_lab._readout
+        monkeypatch.setattr(proof_lab, "_readout",
+                            lambda images: tables.append(readout(images)) or tables[-1])
         for map_like in PIPELINE_MAPS[kind]:
             report = normalize_and_extract(map_like)
             table, residual = reference_pipeline(map_like)
@@ -704,7 +749,7 @@ class TestArrayPipeline:
         for map_like in PIPELINE_MAPS["injected"]:
             assert not normalize_and_extract(map_like).royal_ok
 
-    def test_map_called_four_times(self):
+    def test_map_called_twice(self):
         calls = []
         H = _seeded_elements(64, 1)[0]
 
@@ -713,12 +758,11 @@ class TestArrayPipeline:
             return apply_g2(H, q)
 
         assert normalize_and_extract(counting).identity_certified
-        # the origin for the transport, the origin and the whole torus grid, then the
-        # whole royal sample
-        assert len(calls) == 4
-        assert calls[0] == calls[1] == ORIGIN
-        assert calls[2].s.shape == (proof_lab.TORUS_POINTS ** 2,)
-        assert calls[3] is proof_lab._royal_points()
+        # the origin for the transport, then the torus grid and the royal sample stacked
+        assert len(calls) == 2
+        assert calls[0] == ORIGIN
+        assert calls[1] is proof_lab._certify_points()
+        assert calls[1].s.shape == (proof_lab.TORUS_POINTS ** 2 + proof_lab.ROYAL_SAMPLES,)
 
     @pytest.mark.parametrize("failure,error", [
         (_pole, PoleEncountered),
@@ -760,14 +804,14 @@ class TestArrayPipeline:
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nan_on_a_royal_point_raises(self):
-        # a group element everywhere but at royal point 5; the report would carry
-        # royal_residual = nan
+        # a group element everywhere but at royal point 5, which follows the grid in
+        # the stacked sample; the report would carry royal_residual = nan
         H = PIPELINE_MAPS["group_element"][0]
 
         def map_like(q):
             image = apply_g2(H, q)
-            if np.ndim(q.s) and q.s.shape == (proof_lab.ROYAL_SAMPLES,):
-                image.s[5] = NAN
+            if q is proof_lab._certify_points():
+                image.s[proof_lab.TORUS_POINTS ** 2 + 5] = NAN
             return image
 
         with pytest.raises(ArithmeticError) as excinfo:
@@ -792,25 +836,25 @@ class TestArrayPipeline:
 
     def test_cached_inputs_match_fresh_builds(self):
         normalize_and_extract(PIPELINE_MAPS["halving"][0])  # fills every cache
-        for cached, fresh in ((proof_lab._torus_grid(), proof_lab._torus_grid.__wrapped__()),
-                              (proof_lab._royal_points(), proof_lab._royal_points.__wrapped__())):
+        for build in (proof_lab._torus_grid, proof_lab._royal_points, proof_lab._certify_points):
+            cached, fresh = build(), build.__wrapped__()
             for a, b in ((cached.s, fresh.s), (cached.p, fresh.p)):
                 assert a.tobytes() == b.tobytes()
                 assert not a.flags.writeable
         for cached, fresh in zip(proof_lab._cauchy_rows(), proof_lab._cauchy_rows.__wrapped__()):
             assert cached.tobytes() == fresh.tobytes() and not cached.flags.writeable
 
-    @pytest.mark.parametrize("kind,size", [("black_box", proof_lab.TORUS_POINTS ** 2),
-                                           ("halving", proof_lab.ROYAL_SAMPLES)],
+    @pytest.mark.parametrize("kind,index", [("black_box", 0),
+                                            ("halving", proof_lab.TORUS_POINTS ** 2)],
                              ids=["torus_grid", "royal_points"])
-    def test_map_writing_into_its_input_raises(self, kind, size):
-        # the torus grid and the royal sample both reach every map
+    def test_map_writing_into_its_input_raises(self, kind, index):
+        # the stacked sample, torus grid then royal points, reaches every map
         honest = PIPELINE_MAPS[kind][0]
         before = normalize_and_extract(honest)
 
         def vandal(q):
-            if np.ndim(q.s) and q.s.shape == (size,):
-                q.s[0] = 0.0
+            if q is proof_lab._certify_points():
+                q.s[index] = 0.0
                 q.p *= 2.0
             return honest(q)
 
