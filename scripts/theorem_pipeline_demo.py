@@ -23,14 +23,15 @@ def main() -> None:
 
     rng = rng_from_seed(args.seed)
     print(f"{'|a|':>8}  {'|alpha-1|':>10}  {'|d-1|':>10}  {'|C|':>10}  "
-          f"{'royal':>10}  certified")
+          f"{'royal':>10}  {'grid':>10}  certified")
     worst = 0.0
     for _ in range(args.count):
         h = random_moebius(rng)
         rep = normalize_and_extract(lift(h))
-        worst = max(worst, rep.identity_deviation, rep.royal_residual)
+        worst = max(worst, rep.identity_deviation, rep.royal_residual, rep.grid_residual)
         print(f"{abs(h.a):8.4f}  {abs(rep.alpha - 1):10.2e}  {abs(rep.d - 1):10.2e}  "
-              f"{abs(rep.c):10.2e}  {rep.royal_residual:10.2e}  {rep.identity_certified}")
+              f"{abs(rep.c):10.2e}  {rep.royal_residual:10.2e}  {rep.grid_residual:10.2e}  "
+              f"{rep.identity_certified}")
     print(f"\nworst deviation over {args.count} group elements: {worst:.3e}")
 
     injected = make_candidate({(1, 0): (1, 0), (0, 1): (0, 1), (2, 0): (0, args.inject_c)})

@@ -89,8 +89,9 @@ def _lift_form(tau, a, s, p):
     # grouped so that both numerators cancel exactly at the map's own royal point
     # (s, p) = (2a, a^2); the expanded form (1+|a|^2)s - 2*conj(a)*p - 2a leaks
     # rounding noise there that the denominator (1-|a|^2)^2 then amplifies
-    s1 = ((s - 2.0 * a) + ac * (a * s - 2.0 * p)) / den
-    p1 = ((p - a * s) + a * a) / den
+    sa = a * s
+    s1 = ((s - 2.0 * a) + ac * (sa - 2.0 * p)) / den
+    p1 = ((p - sa) + a * a) / den
     return tau * s1, tau * tau * p1, den
 
 

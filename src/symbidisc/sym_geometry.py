@@ -17,7 +17,11 @@ DEFAULT_TOL = 1e-9
 
 
 class SymPoint(NamedTuple):
-    """A point of C^2 in (sum, product) coordinates."""
+    """A point of C^2 in (sum, product) coordinates.
+
+    Construction checks nothing (a NamedTuple cannot override __new__), so
+    orbit_sample may box with tuple.__new__(SymPoint, (s, p)) for SymPoint(s, p).
+    """
 
     s: complex
     p: complex

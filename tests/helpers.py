@@ -77,6 +77,60 @@ def unordered_dist(pair1, pair2) -> float:
     return min(straight, crossed)
 
 
+def origin_caratheodory_tanh(q: SymPoint) -> float:
+    """tanh of the Caratheodory distance from the origin to q, in closed form.
+
+    (2|s - conj(s) p| + |s^2 - 4p|) / (4 - |s|^2) (Agler & Young, J. Geom. Anal. 14, 2004).
+    """
+    return (2 * abs(q.s - q.s.conjugate() * q.p) + abs(q.s * q.s - 4 * q.p)) / (4 - abs(q.s) ** 2)
+
+
+# The Caratheodory oracle's grid over the unit circle. Near the boundary the maximum
+# over omega is a narrow peak: on 2000 seeded pairs and their images under seeded
+# elements, a 1024-point grid missed its cell 11 times, a 4096-point grid never.
+CARATHEODORY_GRID = 4096
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def pseudo_hyperbolic(z: SymPoint, w: SymPoint, theta):
+    """Pseudo-hyperbolic distance between Phi_omega(z) and Phi_omega(w), omega = exp(i*theta)."""
+    omega = np.exp(1j * theta)
+    x = (2 * omega * z.p - z.s) / (2 - omega * z.s)
+    y = (2 * omega * w.p - w.s) / (2 - omega * w.s)
+    return np.abs((x - y) / (1 - np.conj(y) * x))
+
+
+def caratheodory_tanh(z: SymPoint, w: SymPoint) -> float:
+    """tanh of the Caratheodory distance between two interior points, root-free.
+
+    The distance is the largest Poincare distance between Phi_omega(z) and
+    Phi_omega(w) over |omega| = 1, with Phi_omega(s, p) = (2*omega*p - s)/(2 - omega*s)
+    (Agler & Young, J. Geom. Anal. 14, 2004). Its tanh, the pseudo-hyperbolic
+    distance, is maximized over CARATHEODORY_GRID angles, then refined by golden
+    section over the two grid cells beside the best angle, to an angle bracket of 1e-9.
+    """
+    step = 2 * math.pi / CARATHEODORY_GRID
+    grid = pseudo_hyperbolic(z, w, step * np.arange(CARATHEODORY_GRID))
+    k = int(np.argmax(grid))
+    lo, hi = step * (k - 1), step * (k + 1)
+
+    def f(theta):
+        return float(pseudo_hyperbolic(z, w, theta))
+
+    x1, x2 = hi - GOLDEN * (hi - lo), lo + GOLDEN * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-9:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = f(x1)
+    return max(f1, f2, float(grid[k]))
+
+
 def identity() -> DiscAutomorphism:
     return DiscAutomorphism(1.0 + 0j, 0j)
 

@@ -1,0 +1,56 @@
+"""tools/ab_bench.py's summary of paired benchmark runs, on synthetic run.py output."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
+
+END_TO_END = [{"name": "rate", "better": "higher"}, {"name": "ms", "better": "lower"},
+              {"name": "absent", "better": "lower"}]
+
+
+def output(**values):
+    """What run.py prints: a table, then one JSON line with the metrics."""
+    result = {"correct": True, "attempted": 10, "failed": 0,
+              "metrics": {name: {"value": value, "unit": "u"} for name, value in values.items()}}
+    return "symbidisc benchmark  workload=geometry\n  rate  1.0  1/s\n" + json.dumps(result) + "\n"
+
+
+def test_reads_the_last_line():
+    assert ab_bench.result_of(output(rate=2.0))["metrics"]["rate"]["value"] == 2.0
+
+
+def test_median_ratio_wins_and_parent_spread():
+    pairs = [(output(rate=100.0, ms=10.0), output(rate=150.0, ms=9.0)),
+             (output(rate=110.0, ms=10.0), output(rate=120.0, ms=11.0)),
+             (output(rate=120.0, ms=10.0), output(rate=100.0, ms=8.0)),
+             (output(rate=130.0, ms=10.0), output(rate=260.0))]
+    rate, ms = ab_bench.summarize(pairs, END_TO_END)
+    assert rate.name == "rate" and rate.better == "higher"
+    # ratios 1.5, 12/11, 5/6, 2.0
+    assert rate.ratio == pytest.approx((1.5 + 12 / 11) / 2)
+    assert (rate.wins, rate.pairs) == (3, 4)
+    # exclusive quartiles of 100, 110, 120, 130 are 102.5 and 127.5; median 115
+    assert rate.parent_spread == pytest.approx(25.0 / 115.0)
+    # the fourth pair lacks ms on the change side and is left out
+    assert ms.ratio == pytest.approx(0.9) and (ms.wins, ms.pairs) == (2, 3)
+    assert ms.parent_spread == 0.0
+
+
+def test_a_tie_is_no_win_and_one_pair_has_no_spread():
+    (rate,) = ab_bench.summarize([(output(rate=5.0), output(rate=5.0))], END_TO_END[:1])
+    assert (rate.ratio, rate.wins, rate.pairs, rate.parent_spread) == (1.0, 0, 1, 0.0)
+
+
+def test_formats_one_line_per_metric():
+    rows = ab_bench.summarize([(output(rate=1.0, ms=2.0), output(rate=2.0, ms=1.0))], END_TO_END)
+    lines = ab_bench.format_rows(rows).splitlines()
+    assert len(lines) == 3
+    assert lines[1].split() == ["rate", "higher", "2.0000", "1/1", "0.0000"]
+    assert lines[2].split() == ["ms", "lower", "0.5000", "1/1", "0.0000"]

@@ -1,5 +1,6 @@
 import cmath
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -28,12 +29,16 @@ from symbidisc import (
 from symbidisc.sampling import random_disc, random_interior, random_moebius, random_unit, rng_from_seed
 
 from helpers import (
+    CARATHEODORY_GRID,
+    caratheodory_tanh,
     cloud_points,
     g2_equal,
     identity,
     interior_point,
     moebius,
     moebius_equal,
+    origin_caratheodory_tanh,
+    pseudo_hyperbolic,
     pt_dist,
     root_cloud,
 )
@@ -317,3 +322,56 @@ def test_closed_form_against_50_digit_mpmath():
         errors.sort()
         assert errors[len(errors) // 2] <= EPS
         assert errors[-1] <= worst * EPS
+
+
+class TestCaratheodoryInvariance:
+    """Automorphisms preserve the Caratheodory distance, a root-free oracle at any pair.
+
+    caratheodory_tanh shares no code with the library. Worst invariance errors
+    measured on these seeds: 5.4e-13 for apply_g2, 2.8e-11 for a composed element
+    (pairs up to tanh 0.9994); pinned at INVARIANCE_TOL. A shear by C = 1e-4 moves
+    it by up to 2.5e-4.
+    """
+
+    INVARIANCE_TOL = 1e-10
+
+    @staticmethod
+    def pairs(seed, count):
+        rng = rng_from_seed(seed)
+        return [(random_interior(rng), random_interior(rng), lift(random_moebius(rng)),
+                 lift(random_moebius(rng))) for _ in range(count)]
+
+    def test_matches_the_closed_form_from_the_origin(self):
+        rng = rng_from_seed(31)
+        for _ in range(200):
+            q = random_interior(rng)
+            assert abs(caratheodory_tanh(ORIGIN, q) - origin_caratheodory_tanh(q)) <= 1e-14
+
+    def test_no_finer_grid_finds_a_larger_value(self):
+        n = 64 * CARATHEODORY_GRID
+        thetas = 2 * np.pi * np.arange(n) / n
+        for z, w, _, _ in self.pairs(32, 20):
+            assert pseudo_hyperbolic(z, w, thetas).max() <= caratheodory_tanh(z, w)
+
+    def test_apply_g2_preserves_it(self):
+        worst = max(abs(caratheodory_tanh(apply_g2(H, z), apply_g2(H, w)) - caratheodory_tanh(z, w))
+                    for z, w, H, _ in self.pairs(33, 100))
+        assert worst <= self.INVARIANCE_TOL
+
+    def test_compose_g2_preserves_it(self):
+        worst = 0.0
+        for z, w, H1, H2 in self.pairs(33, 100):
+            G = compose_g2(H1, H2)
+            worst = max(worst, abs(caratheodory_tanh(apply_g2(G, z), apply_g2(G, w))
+                                   - caratheodory_tanh(z, w)))
+        assert worst <= self.INVARIANCE_TOL
+
+    def test_a_sheared_element_moves_it(self):
+        moved = 0.0
+        for z, w, H, _ in self.pairs(34, 20):
+            def sheared(q):
+                return apply_g2(H, SymPoint(q.s, q.p + 1e-4 * q.s * q.s))
+
+            moved = max(moved, abs(caratheodory_tanh(sheared(z), sheared(w))
+                                   - caratheodory_tanh(z, w)))
+        assert moved >= 0.5 * 2.5e-4

@@ -1,5 +1,6 @@
 import cmath
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from symbidisc.sampling import (
     rng_from_seed,
 )
 
-from helpers import identity_candidate, rotation_commutation_residual
+from helpers import identity_candidate, origin_caratheodory_tanh, rotation_commutation_residual
 
 
 def shear(b, d):
@@ -425,6 +426,35 @@ class TestOrbit:
         for coords, array in (([q.s for q in images], S), ([q.p for q in images], P)):
             assert np.array_equal(np.array(coords, complex).view(np.uint64), array.view(np.uint64))
 
+    def test_boxes_without_a_python_call_per_image(self, monkeypatch):
+        calls = []
+        generated = SymPoint.__new__
+
+        def counting(cls, s, p):
+            calls.append(None)
+            return generated(cls, s, p)
+
+        monkeypatch.setattr(SymPoint, "__new__", counting)
+        counts = []
+        for count in (10, 2000):
+            calls.clear()
+            images = orbit_sample(SymPoint(0.5, 0), count, 7)
+            counts.append(len(calls))
+            assert len(images) == count
+        assert counts[0] == counts[1]
+
+    def test_boxed_images_behave_as_constructed_ones(self):
+        images = orbit_sample(SymPoint(0.5, 0), 200, 7)
+        built = [SymPoint(q[0], q[1]) for q in images]
+        assert images == built
+        for q, b in zip(images, built):
+            assert type(q) is SymPoint and (q.s, q.p) == (b.s, b.p)
+            assert hash(q) == hash(b)
+            back = pickle.loads(pickle.dumps(q))
+            assert type(back) is SymPoint and back == b
+            moved = q._replace(p=0j)
+            assert type(moved) is SymPoint and moved == b._replace(p=0j)
+
     @pytest.mark.parametrize("tau,a,pt,error", [
         (1, 1.5, ORIGIN, ParameterOutOfDomain),
         (1, float("nan"), ORIGIN, ParameterOutOfDomain),
@@ -519,7 +549,9 @@ class TestPipeline:
             assert report.royal_residual <= 1e-8
 
     def test_black_box_elements_certify_near_boundary(self):
-        # plain callables: the pipeline sees only point values, never (tau, a)
+        # plain callables: the pipeline sees only point values, never (tau, a). The
+        # grid residual grows as 1/(1 - |a|**2)**2 (see _lift_form); measured worst
+        # 7.2e-14, 7.2e-12 and 7.0e-10, about 0.3 of the bound below at each modulus
         rng = rng_from_seed(48)
         for modulus in (0.9, 0.99, 0.999):
             for _ in range(20):
@@ -527,6 +559,7 @@ class TestPipeline:
                 report = normalize_and_extract(lambda q, H=H: apply_g2(H, q))
                 assert report.identity_certified
                 assert report.identity_deviation <= 1e-8
+                assert report.grid_residual <= 1e-14 / (1.0 - modulus ** 2) ** 2
 
     def test_scalar_only_black_box_certifies_through_vectorize(self):
         # apply_g2_via_roots takes scalars only (desymmetrize uses cmath), and its
@@ -553,10 +586,6 @@ class TestPipeline:
         # U = R(1/rot) o T, rebuilt from the report alone, must make U o F preserve
         # it for a genuine F. Worst error measured here: 5.2e-12 (points up to
         # tanh 0.997); an injected C moves it by 1.69 (C = 0.1) and 0.066 (C = 0.01)
-        def tanh_distance(q):
-            return (2 * abs(q.s - q.s.conjugate() * q.p) + abs(q.s * q.s - 4 * q.p)) / (
-                4 - abs(q.s) ** 2)
-
         rng = rng_from_seed(2024)
         points = [random_interior(rng) for _ in range(200)]
 
@@ -564,7 +593,8 @@ class TestPipeline:
             report = normalize_and_extract(map_like)
             U = compose_g2(rotation(report.rotation_divided.conjugate()),
                            transport_to_origin(report.origin_image, proof_lab.CERTIFY_TOL))
-            return max(abs(tanh_distance(apply_g2(U, map_like(q))) - tanh_distance(q))
+            return max(abs(origin_caratheodory_tanh(apply_g2(U, map_like(q)))
+                           - origin_caratheodory_tanh(q))
                        for q in points)
 
         genuine = [lambda q, H=H: apply_g2(H, q) for H in _seeded_elements(2025, 50)]
@@ -592,6 +622,23 @@ class TestPipeline:
         assert report.identity_deviation <= 1e-12
         assert not report.royal_ok and not report.identity_certified
         assert report.royal_residual >= 0.5 * measured
+
+    def test_a_term_vanishing_on_the_royal_variety_is_rejected(self):
+        # (s^2 - 4p)^3 vanishes on the royal variety and has weighted degree 6, so
+        # neither the readout nor the royal sample sees it; the grid part does. The map
+        # sends (0, 0.9) to (0, -3.77), outside the domain
+        report = normalize_and_extract(
+            lambda q: SymPoint(q.s, q.p + 0.1 * (q.s * q.s - 4 * q.p) ** 3))
+        assert report.royal_ok and report.royal_residual <= 1e-15
+        assert report.identity_deviation <= 1e-12
+        assert abs(report.grid_residual - 0.195) <= 1e-3
+        assert not report.identity_certified
+
+    def test_grid_residual_of_genuine_elements(self):
+        # measured worst on these seeds: 2.3e-13 at |a| <= 0.95
+        for H in _seeded_elements(65, 50):
+            report = normalize_and_extract(lambda q, H=H: apply_g2(H, q))
+            assert report.identity_certified and report.grid_residual <= 1e-11
 
     def test_injected_c_is_rejected(self):
         report = normalize_and_extract(homogeneous(1, 1, 0.1))
@@ -644,17 +691,17 @@ def reference_royal_points(samples=64, seed=11):
 
 
 def reference_pipeline(map_like, tol=1e-8):
-    """normalize_and_extract's raw coefficient table and royal residual, per point.
+    """normalize_and_extract's raw coefficient table, royal and grid residuals, per point.
 
     Every map value is transported by a scalar apply_g2 call and the map is called
-    on every royal point one at a time, as before the array pipeline.
+    on every grid and royal point one at a time, as before the array pipeline.
     """
     img = map_like(ORIGIN)
     transport = transport_to_origin(img, tol)
     n, (rs, rp) = proof_lab.TORUS_POINTS, proof_lab.TORUS_RADII
     circle = [cmath.exp(2j * math.pi * m / n) for m in range(n)]
-    values = [apply_g2(transport, map_like(SymPoint(rs * u, rp * v)))
-              for u in circle for v in circle]
+    grid = [SymPoint(rs * u, rp * v) for u in circle for v in circle]
+    values = [apply_g2(transport, map_like(pt)) for pt in grid]
     S = np.fft.fft2(np.array([q.s for q in values]).reshape(n, n)) / (n * n)
     P = np.fft.fft2(np.array([q.p for q in values]).reshape(n, n)) / (n * n)
     table = {(j, k): (S[j, k] / (rs ** j * rp ** k), P[j, k] / (rs ** j * rp ** k))
@@ -662,10 +709,12 @@ def reference_pipeline(map_like, tol=1e-8):
     m11 = table[(1, 0)][0]
     rot_inv = (m11 / abs(m11)).conjugate()
     undo = compose_g2(rotation(rot_inv), transport)
-    moved = [apply_g2(undo, map_like(pt)) for pt in reference_royal_points()]
-    residual = max(max(abs(q.s - pt.s), abs(q.p - pt.p))
-                   for q, pt in zip(moved, reference_royal_points()))
-    return table, residual
+
+    def residual(points):
+        return max(max(abs(q.s - pt.s), abs(q.p - pt.p))
+                   for q, pt in zip((apply_g2(undo, map_like(pt)) for pt in points), points))
+
+    return table, residual(reference_royal_points()), residual(grid)
 
 
 def _seeded_elements(seed, count):
@@ -731,11 +780,12 @@ class TestArrayPipeline:
                             lambda images: tables.append(readout(images)) or tables[-1])
         for map_like in PIPELINE_MAPS[kind]:
             report = normalize_and_extract(map_like)
-            table, residual = reference_pipeline(map_like)
+            table, royal, grid = reference_pipeline(map_like)
             # numpy and Python divide complex numbers with different rounding, and the
             # transport amplifies rounding by up to 1/(1 - |a|**2)**2 (see _lift_form)
             bound = 1e-14 / (1.0 - abs(report.transport_param) ** 2) ** 2
-            assert abs(report.royal_residual - residual) <= bound
+            assert abs(report.royal_residual - royal) <= bound
+            assert abs(report.grid_residual - grid) <= bound
             raw = tables[-1].terms
             assert raw.keys() == table.keys()
             assert max(max(abs(raw[key][0] - cs), abs(raw[key][1] - cp))

@@ -1,0 +1,132 @@
+"""A/B benchmark: the working tree against a parent revision, in alternating pairs.
+
+Usage, from anywhere inside a git checkout of symbidisc:
+
+    python3 tools/ab_bench.py --workload geometry --pairs 10 --first-seed 901 [--rev HEAD]
+
+The parent revision is checked out with `git worktree add --detach` into a temporary
+directory. For each seed, `perfbench/run.py` runs once in the parent and once in
+the working tree, each with its own copy of the benchmark, for BENCHMARK.json's
+run_seconds; the parent runs first for even-numbered pairs and second for odd
+ones, so a drift of the machine's speed over the session does not favour either
+side. For every end-to-end metric of
+BENCHMARK.json the script prints the median over the pairs of change/parent, the
+number of pairs on which the change was better (in the direction BENCHMARK.json
+declares), and the parent's interquartile range over its median, the spread a gain
+has to clear. The worktree is removed at the end, also after a failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Row(NamedTuple):
+    name: str
+    better: str  # "higher" or "lower"
+    ratio: float  # median over the pairs of change / parent
+    wins: int  # pairs on which the change was better
+    pairs: int  # pairs that reported the metric on both sides
+    parent_spread: float  # interquartile range of the parent's values over their median
+
+
+def result_of(output: str) -> dict:
+    """The JSON object that perfbench/run.py prints as its last line."""
+    return json.loads(output.strip().splitlines()[-1])
+
+
+def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> list[Row]:
+    """One Row per end-to-end metric from the (parent, change) outputs of run.py.
+
+    A metric missing from either side of a pair leaves that pair out of its row.
+    """
+    results = [(result_of(parent), result_of(change)) for parent, change in pairs]
+    rows = []
+    for metric in end_to_end:
+        name, better = metric["name"], metric["better"]
+        values = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
+                  for p, c in results if name in p["metrics"] and name in c["metrics"]]
+        if not values:
+            continue
+        parent = [p for p, _ in values]
+        wins = sum((c > p) if better == "higher" else (c < p) for p, c in values)
+        if len(parent) >= 2:
+            q1, _, q3 = statistics.quantiles(parent, n=4)
+            spread = (q3 - q1) / statistics.median(parent)
+        else:
+            spread = 0.0
+        rows.append(Row(name, better, statistics.median(c / p for p, c in values),
+                        wins, len(values), spread))
+    return rows
+
+
+def format_rows(rows: list[Row]) -> str:
+    lines = [f"{'metric':<24} {'better':<7} {'change/parent':>13} {'wins':>7} {'parent IQR':>10}"]
+    for row in rows:
+        lines.append(f"{row.name:<24} {row.better:<7} {row.ratio:>13.4f} "
+                     f"{row.wins:>3}/{row.pairs:<3} {row.parent_spread:>10.4f}")
+    return "\n".join(lines)
+
+
+def _run(checkout: Path, workload: str, seed: int, seconds: int) -> str:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds)],
+        cwd=checkout, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"perfbench/run.py failed in {checkout} (exit {proc.returncode}):\n{proc.stderr}")
+    return proc.stdout
+
+
+def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True,
+                        choices=[workload["name"] for workload in benchmark["workloads"]])
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", type=int, default=901)
+    parser.add_argument("--rev", default="HEAD", help="the parent revision (default HEAD)")
+    args = parser.parse_args(argv)
+
+    seconds = benchmark["run_seconds"]
+    tmp = Path(tempfile.mkdtemp(prefix="ab_bench_"))
+    parent = tmp / "parent"
+    try:
+        subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.rev],
+                       cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+        pairs = []
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            sides = [("parent", parent), ("change", ROOT)]
+            if i % 2:
+                sides.reverse()
+            outputs = {side: _run(checkout, args.workload, seed, seconds)
+                       for side, checkout in sides}
+            pairs.append((outputs["parent"], outputs["change"]))
+            verdicts = {side: result_of(out)["correct"] for side, out in outputs.items()}
+            print(f"pair {i + 1}/{args.pairs}  seed {seed}  {sides[0][0]} first  "
+                  f"correct: parent {verdicts['parent']}, change {verdicts['change']}",
+                  file=sys.stderr)
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT,
+                       capture_output=True)
+        shutil.rmtree(tmp, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
+    print(f"workload {args.workload}, parent {args.rev}, {args.pairs} pairs from seed "
+          f"{args.first_seed}, {seconds} s per run")
+    print(format_rows(summarize(pairs, benchmark["end_to_end"])))
+    return 0 if all(result_of(out)["correct"] for pair in pairs for out in pair) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
