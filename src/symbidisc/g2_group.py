@@ -5,9 +5,11 @@ Each disc automorphism h induces the map sending (s, p) to the (sum, product) of
 every automorphism arises this way. Application is available through two independent
 routes: a closed rational form in (s, p), which is holomorphic and stable near the
 double-root locus, and the literal root route, which extracts the roots, maps each
-one, and re-symmetrizes. Each route checks the other. Membership rests on the same
-root extraction as the root route, and the tests check it against the root-free
-Agler-Young criterion (tests/test_sym_geometry.py::TestAglerYoung).
+one, and re-symmetrizes. Oracles that share neither route's rounding check the
+closed form: 50-digit mpmath (test_closed_form_against_50_digit_mpmath) and the
+Agler-Young Caratheodory distance, which automorphisms preserve. Membership, whose
+root extraction the root route shares, is checked against the root-free Agler-Young
+criterion (tests/test_sym_geometry.py::TestAglerYoung).
 """
 
 from __future__ import annotations

@@ -26,11 +26,12 @@ geometrically in the grid size (Bornemann, Found. Comput. Math. 11, 2011; Trefet
 exact up to rounding. Step 4 reads the map itself on a seeded royal sample, so a
 term above the truncation degree cannot hide from it. Every map it takes works as
 a numpy ufunc does: it gets one SymPoint whose coordinates are complex scalars or
-complex128 arrays and returns a SymPoint of the same shape, so the torus grid and
-the royal sample, stacked, go through the map in one call (wrap a scalar-only
-callable with np.vectorize). These fixed inputs and the DFT rows are built once and
-are read-only. Orbit sampling supplies the evidence-level companion: origin orbits
-stay on the royal variety, non-royal orbits stay off it.
+complex128 arrays and returns a SymPoint of the same shape (wrap a scalar-only
+callable with np.vectorize; another shape raises PreconditionUnmet), so the torus
+grid and the royal sample, stacked, go through the map in one call. One cache
+builds these fixed inputs once: the stacked sample, views of its grid and royal
+parts, and the DFT rows, all read-only. Orbit sampling supplies the evidence-level
+companion: origin orbits stay on the royal variety, non-royal orbits stay off it.
 
 Everything here is seeded and deterministic; experiment results are pinned by
 (seed, count) alone.
@@ -110,8 +111,12 @@ def make_candidate(terms: Mapping[tuple[int, int], tuple[complex, complex]],
     """Validate and canonicalize a coefficient table (sorted keys, complex values)."""
     clean: dict[tuple[int, int], tuple[complex, complex]] = {}
     for (j, k), (cs, cp) in sorted(terms.items()):
+        if j % 1 or k % 1:  # nonzero for a fraction, NaN or infinity
+            raise ParameterOutOfDomain(f"non-integral exponents ({j}, {k})")
         j, k = int(j), int(k)
         cs, cp = complex(cs), complex(cp)
+        if not (cmath.isfinite(cs) and cmath.isfinite(cp)):
+            raise ParameterOutOfDomain(f"monomial ({j}, {k}) has a non-finite coefficient")
         if j < 0 or k < 0:
             raise ParameterOutOfDomain(f"negative exponents ({j}, {k})")
         if j + 2 * k > degree_cap:
@@ -246,13 +251,14 @@ def weighted_form_extract(F: CandidateMap) -> tuple[complex, complex, complex]:
     """Read off (alpha, d, C) from a map of the form (alpha*s, d*p + C*s**2).
 
     Any other monomial with coefficient above CERTIFY_TOL disqualifies the candidate;
-    commuting with every rotation allows weight 1 in S and weight 2 in P only.
+    commuting with every rotation allows weight 1 in S and weight 2 in P only. The
+    tests are negated, so that a NaN coefficient counts as a violation.
     """
     violations = []
     for (j, k), (cs, cp) in F.terms.items():
-        if (j, k) != (1, 0) and abs(cs) > CERTIFY_TOL:
+        if (j, k) != (1, 0) and not abs(cs) <= CERTIFY_TOL:
             violations.append(("S", j, k))
-        if (j, k) not in ((0, 1), (2, 0)) and abs(cp) > CERTIFY_TOL:
+        if (j, k) not in ((0, 1), (2, 0)) and not abs(cp) <= CERTIFY_TOL:
             violations.append(("P", j, k))
     if violations:
         raise NotWeightedHomogeneous(sorted(violations))
@@ -261,20 +267,6 @@ def weighted_form_extract(F: CandidateMap) -> tuple[complex, complex, complex]:
     d = F.terms.get((0, 1), zero)[1]
     C = F.terms.get((2, 0), zero)[1]
     return alpha, d, C
-
-
-@functools.cache
-def _royal_points() -> SymPoint:
-    """ROYAL_SAMPLES seeded royal points (2*lam, lam**2), |lam| < 0.9, as read-only arrays."""
-    lam = random_disc_points(rng_from_seed(ROYAL_SEED), ROYAL_SAMPLES, 0.9)
-    return SymPoint(*_read_only(2.0 * lam, lam * lam))
-
-
-def _read_only(*arrays) -> tuple:
-    """Mark cached arrays read-only, so that no map can write into them."""
-    for array in arrays:
-        array.setflags(write=False)
-    return arrays
 
 
 def force_c_zero(map_like: Callable[[SymPoint], SymPoint]) -> tuple[bool, float]:
@@ -289,8 +281,8 @@ def force_c_zero(map_like: Callable[[SymPoint], SymPoint]) -> tuple[bool, float]
     A non-finite image of a royal point raises ArithmeticError, as one on the torus
     grid does in fit_candidate.
     """
-    pts = _royal_points()
-    return _verdict(_distances(pts, map_like(pts)), "royal sample")
+    _, _, royal, _, _ = _certify_inputs()
+    return _verdict(_distances(royal, _images(map_like, royal)), "royal sample")
 
 
 def _distances(pts: SymPoint, img: SymPoint):
@@ -348,48 +340,59 @@ def _orbit_arrays(pt: SymPoint, count: int, seed: int):
 
 
 @functools.cache
-def _torus_grid() -> SymPoint:
-    """The torus grid as read-only arrays.
+def _certify_inputs() -> tuple:
+    """Certify's fixed inputs (sample, grid, royal, rows_s, rows_p), built once, read-only.
 
-    Entry j*n + k has angles 2*pi*(j, k)/n, n = TORUS_POINTS.
+    sample stacks the torus grid, whose entry j*n + k has angles 2*pi*(j, k)/n
+    (n = TORUS_POINTS), and the seeded royal sample (2*lam, lam**2), |lam| < 0.9, so
+    that one map call reads both; grid and royal are views of its two parts. rows_s
+    and rows_p are the n-point DFT matrix with row j divided by n * r**j, for r_s and
+    r_p. The exponent j*m is reduced mod n before scaling by 2*pi/n, so each entry is
+    a root of unity rounded once, not the exp of a large rounded angle.
     """
     import numpy as np
 
     n = TORUS_POINTS
     rs, rp = TORUS_RADII
-    circle = np.exp(2j * math.pi * np.arange(n) / n)
-    return SymPoint(*_read_only(np.repeat(rs * circle, n), np.tile(rp * circle, n)))
-
-
-@functools.cache
-def _cauchy_rows():
-    """The n-point DFT matrix, n = TORUS_POINTS, with row j divided by n * r**j, for r_s and r_p.
-
-    The exponent j*m is reduced mod n before scaling by 2*pi/n, so each entry is a
-    root of unity rounded once, not the exp of a large rounded angle.
-    """
-    import numpy as np
-
-    n = TORUS_POINTS
     m = np.arange(n)
+    circle = np.exp(2j * math.pi * m / n)
+    lam = random_disc_points(rng_from_seed(ROYAL_SEED), ROYAL_SAMPLES, 0.9)
+    s = np.concatenate((np.repeat(rs * circle, n), 2.0 * lam))
+    p = np.concatenate((np.tile(rp * circle, n), lam * lam))
     dft = np.exp(-2j * math.pi * (np.outer(m, m) % n) / n)
-    return _read_only(*(dft / (n * r ** m[:, None]) for r in TORUS_RADII))
+    rows = [dft / (n * r ** m[:, None]) for r in TORUS_RADII]
+    for array in (s, p, *rows):
+        array.setflags(write=False)  # so that no map can write into them
+    g = n * n
+    return SymPoint(s, p), SymPoint(s[:g], p[:g]), SymPoint(s[g:], p[g:]), *rows
+
+
+def _images(map_like: Callable[[SymPoint], SymPoint], pts: SymPoint) -> SymPoint:
+    """The map's values on a fixed sample, which must have the sample's shape."""
+    img = map_like(pts)
+    shapes = getattr(img.s, "shape", ()), getattr(img.p, "shape", ())
+    if shapes != (pts.s.shape, pts.p.shape):
+        raise PreconditionUnmet(f"a map must return its input's shape {pts.s.shape}, not "
+                                f"{shapes}; wrap a scalar-only callable with np.vectorize")
+    return img
 
 
 def fit_candidate(map_like: Callable[[SymPoint], SymPoint]) -> CandidateMap:
     """Taylor coefficients of an origin-fixing map, truncated at weighted degree DEGREE_CAP.
 
     Calls the map once at the origin and once on the whole TORUS_POINTS x TORUS_POINTS
-    grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), held as read-only arrays in
-    one SymPoint, and applies to the values the rows of the 16-point DFT that are
-    read: entry (j, k), divided by the grid size and by r_s**j * r_p**k, is the
-    trapezoidal-rule Cauchy integral for the coefficient of s**j * p**k. Only
-    monomials with j + 2k <= DEGREE_CAP are kept, since higher ones would amplify
-    rounding by r**-(j+2k). An origin image farther than CERTIFY_TOL from the origin
-    raises PreconditionUnmet, a non-finite image on the grid ArithmeticError.
+    grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), the grid part of the
+    pipeline's one cache of read-only fixed inputs, and applies to the values the
+    cached rows of the 16-point DFT that are read: entry (j, k), divided by the grid
+    size and by r_s**j * r_p**k, is the trapezoidal-rule Cauchy integral for the
+    coefficient of s**j * p**k. Only monomials with j + 2k <= DEGREE_CAP are kept,
+    since higher ones would amplify rounding by r**-(j+2k). An origin image farther
+    than CERTIFY_TOL from the origin, or values of another shape than the grid's,
+    raise PreconditionUnmet, a non-finite image on the grid ArithmeticError.
     """
     _check_origin_image(map_like(ORIGIN))
-    return _readout(map_like(_torus_grid()))
+    _, grid, _, _, _ = _certify_inputs()
+    return _readout(_images(map_like, grid))
 
 
 def _check_origin_image(at_origin: SymPoint) -> None:
@@ -408,19 +411,11 @@ def _readout(images: SymPoint) -> CandidateMap:
     if not np.isfinite(values).all():
         raise ArithmeticError("the map has a non-finite value on the torus grid")
     js, ks = DEGREE_CAP + 1, DEGREE_CAP // 2 + 1
-    rows_s, rows_p = _cauchy_rows()
+    _, _, _, rows_s, rows_p = _certify_inputs()
     S, P = (rows_s[:js] @ values @ rows_p[:ks].T).tolist()
-    terms = {(j, k): (S[j][k], P[j][k]) for k in range(ks) for j in range(js - 2 * k)}
-    del terms[(0, 0)]  # the constant term is the origin image, checked apart
-    return make_candidate(terms)
-
-
-@functools.cache
-def _certify_points() -> SymPoint:
-    """The torus grid followed by the royal sample, as read-only arrays for one map call."""
-    import numpy as np
-
-    return SymPoint(*_read_only(*map(np.concatenate, zip(_torus_grid(), _royal_points()))))
+    # keys in make_candidate's sorted order; (0, 0) is the origin image, checked apart
+    return CandidateMap({(j, k): (S[j][k], P[j][k])
+                         for j in range(js) for k in range(ks) if 0 < j + 2 * k <= DEGREE_CAP})
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +469,16 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
 
     Raises NotWeightedHomogeneous when the normalized map does not commute with
     rotations, NotOnRoyalVariety (a PreconditionUnmet) when the origin image is off
-    the royal variety, DenominatorDegenerate (before the weighted form is read) when a
+    the royal variety, PreconditionUnmet when the map's values on the stacked sample
+    have another shape than the sample, DenominatorDegenerate (before the weighted form is read) when a
     value on the stacked sample sits on the transport's pole, and ArithmeticError when
     the map has a non-finite value on the torus grid or the royal sample.
     """
     img = map_like(ORIGIN)
     transport = transport_to_origin(img, CERTIFY_TOL)
     _check_origin_image(apply_g2(transport, img))
-    moved = apply_g2(transport, map_like(_certify_points()))
+    sample, _, _, _, _ = _certify_inputs()
+    moved = apply_g2(transport, _images(map_like, sample))
     n = TORUS_POINTS**2
     raw = _readout(SymPoint(moved.s[:n], moved.p[:n]))
 
@@ -492,8 +489,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     rot_inv = rot.conjugate()
     alpha, d, C = weighted_form_extract(raw)
     alpha, d, C = rot_inv * alpha, rot_inv * rot_inv * d, rot_inv * rot_inv * C
-    distances = _distances(_certify_points(),
-                           SymPoint(rot_inv * moved.s, rot_inv * rot_inv * moved.p))
+    distances = _distances(sample, SymPoint(rot_inv * moved.s, rot_inv * rot_inv * moved.p))
     grid_ok, grid_residual = _verdict(distances[:n], "torus grid")
     royal_ok, royal_residual = _verdict(distances[n:], "royal sample")
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))

@@ -54,3 +54,36 @@ def test_formats_one_line_per_metric():
     assert len(lines) == 3
     assert lines[1].split() == ["rate", "higher", "2.0000", "1/1", "0.0000"]
     assert lines[2].split() == ["ms", "lower", "0.5000", "1/1", "0.0000"]
+
+
+WORKLOADS = ["geometry", "certify", "cli"]
+
+
+def test_takes_several_workloads_once_each_in_order():
+    args = ab_bench.parse_args(["--workload", "cli", "geometry", "cli", "--pairs", "3"], WORKLOADS)
+    assert args.workload == ["cli", "geometry"]
+    assert (args.pairs, args.first_seed, args.rev) == (3, 901, "HEAD")
+
+
+def test_one_workload_is_a_list_of_one():
+    assert ab_bench.parse_args(["--workload", "certify"], WORKLOADS).workload == ["certify"]
+
+
+@pytest.mark.parametrize("argv", [[], ["--workload"], ["--workload", "geometry", "nope"]])
+def test_rejects_a_missing_or_unknown_workload(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.parse_args(argv, WORKLOADS)
+    assert exit_info.value.code == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value,shown", [("1", "1"), (None, "unset")])
+def test_header_states_the_bytecode_setting(monkeypatch, value, shown):
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    args = ab_bench.parse_args(["--workload", "cli", "--first-seed", "7"], WORKLOADS)
+    line = ab_bench.header("cli", args, 40)
+    assert line.startswith("workload cli, parent HEAD, 10 pairs from seed 7, 40 s per run")
+    assert line.endswith(f"PYTHONDONTWRITEBYTECODE={shown}")

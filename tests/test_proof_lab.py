@@ -42,6 +42,7 @@ from symbidisc import (
     weighted_form_extract,
 )
 from symbidisc import proof_lab
+from symbidisc.proof_lab import CandidateMap
 from symbidisc.sampling import (
     random_disc,
     random_disc_points,
@@ -84,6 +85,20 @@ class TestCandidateMap:
     def test_rejects_weighted_degree_overflow(self):
         with pytest.raises(ParameterOutOfDomain):
             make_candidate({(1, 2): (1, 0)})  # weight 5 > default cap 4
+
+    @pytest.mark.parametrize("key", [(1.5, 0), (0, 0.5), (math.nan, 0), (1, math.inf)])
+    def test_rejects_non_integral_exponents(self, key):
+        # int() would truncate (1.5, 0) to the term (1, 0)
+        with pytest.raises(ParameterOutOfDomain, match="non-integral"):
+            make_candidate({key: (1, 0)})
+
+    def test_integral_float_exponents_are_read_as_ints(self):
+        assert list(make_candidate({(1.0, 0): (1, 0)}).terms) == [(1, 0)]
+
+    @pytest.mark.parametrize("coefficients", [(NAN, 0), (0, NAN), (complex(0, math.inf), 1)])
+    def test_rejects_non_finite_coefficients(self, coefficients):
+        with pytest.raises(ParameterOutOfDomain, match="non-finite"):
+            make_candidate({(1, 0): coefficients})
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 4)])
     def test_empty_candidate_keeps_the_input_shape(self, shape):
@@ -323,6 +338,14 @@ class TestWeightedFormExtract:
         F = make_candidate({(1, 0): (1, 1e-12), (0, 1): (1e-12, 1)})
         assert weighted_form_extract(F)[0] == 1
 
+    @pytest.mark.parametrize("component,coefficients", [("S", (NAN, 0)), ("P", (0, NAN))])
+    def test_nan_coefficient_is_a_violation(self, component, coefficients):
+        # built directly, since make_candidate rejects a NaN coefficient
+        F = CandidateMap({(1, 0): (1, 0), (0, 1): (0, 1), (0, 2): coefficients})
+        with pytest.raises(NotWeightedHomogeneous) as err:
+            weighted_form_extract(F)
+        assert err.value.violations == [(component, 0, 2)]
+
     def test_reads_at_the_certify_tolerance(self):
         # a stray P coefficient of s is noise below CERTIFY_TOL and a violation above it
         def stray(c):
@@ -534,7 +557,7 @@ class TestFitCandidate:
         # without the reduction the large angles lose about 1e-14
         n = proof_lab.TORUS_POINTS
         dft = np.fft.fft(np.eye(n))
-        for rows, r in zip(proof_lab._cauchy_rows(), proof_lab.TORUS_RADII):
+        for rows, r in zip(proof_lab._certify_inputs()[3:], proof_lab.TORUS_RADII):
             scale = n * r ** np.arange(n)[:, None]
             assert np.abs(rows * scale - dft).max() <= 2e-15
 
@@ -767,7 +790,7 @@ class TestArrayPipeline:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             loop.append(r * complex(math.cos(theta), math.sin(theta)))
         assert random_disc_points(rng_from_seed(11), 64, 0.9).tolist() == expected == loop
-        pts = proof_lab._royal_points()
+        _, _, pts, _, _ = proof_lab._certify_inputs()
         assert pts.s.tolist() == [2.0 * lam for lam in expected]
         # numpy's complex product may round lam*lam differently in the last bit
         assert max(abs(p - lam * lam) for p, lam in zip(pts.p.tolist(), expected)) <= 4e-16
@@ -788,6 +811,8 @@ class TestArrayPipeline:
             assert abs(report.grid_residual - grid) <= bound
             raw = tables[-1].terms
             assert raw.keys() == table.keys()
+            # the readout's own table is already canonical: same key order, same bits
+            assert repr(make_candidate(raw)) == repr(tables[-1])
             assert max(max(abs(raw[key][0] - cs), abs(raw[key][1] - cp))
                        for key, (cs, cp) in table.items()) <= bound
         assert len(tables) == len(PIPELINE_MAPS[kind])
@@ -811,7 +836,7 @@ class TestArrayPipeline:
         # the origin for the transport, then the torus grid and the royal sample stacked
         assert len(calls) == 2
         assert calls[0] == ORIGIN
-        assert calls[1] is proof_lab._certify_points()
+        assert calls[1] is proof_lab._certify_inputs()[0]
         assert calls[1].s.shape == (proof_lab.TORUS_POINTS ** 2 + proof_lab.ROYAL_SAMPLES,)
 
     @pytest.mark.parametrize("failure,error", [
@@ -860,7 +885,7 @@ class TestArrayPipeline:
 
         def map_like(q):
             image = apply_g2(H, q)
-            if q is proof_lab._certify_points():
+            if q is proof_lab._certify_inputs()[0]:
                 image.s[proof_lab.TORUS_POINTS ** 2 + 5] = NAN
             return image
 
@@ -885,29 +910,54 @@ class TestArrayPipeline:
         assert [normalize_and_extract(map_like) for map_like in maps] == before
 
     def test_cached_inputs_match_fresh_builds(self):
-        normalize_and_extract(PIPELINE_MAPS["halving"][0])  # fills every cache
-        for build in (proof_lab._torus_grid, proof_lab._royal_points, proof_lab._certify_points):
-            cached, fresh = build(), build.__wrapped__()
-            for a, b in ((cached.s, fresh.s), (cached.p, fresh.p)):
-                assert a.tobytes() == b.tobytes()
-                assert not a.flags.writeable
-        for cached, fresh in zip(proof_lab._cauchy_rows(), proof_lab._cauchy_rows.__wrapped__()):
-            assert cached.tobytes() == fresh.tobytes() and not cached.flags.writeable
+        normalize_and_extract(PIPELINE_MAPS["halving"][0])  # fills the cache
 
-    @pytest.mark.parametrize("kind,index", [("black_box", 0),
-                                            ("halving", proof_lab.TORUS_POINTS ** 2)],
-                             ids=["torus_grid", "royal_points"])
-    def test_map_writing_into_its_input_raises(self, kind, index):
-        # the stacked sample, torus grid then royal points, reaches every map
-        honest = PIPELINE_MAPS[kind][0]
-        before = normalize_and_extract(honest)
+        def arrays(inputs):  # s and p of the sample, grid and royal parts, then the rows
+            sample, grid, royal, rows_s, rows_p = inputs
+            return [*sample, *grid, *royal, rows_s, rows_p]
+
+        cached, fresh = proof_lab._certify_inputs(), proof_lab._certify_inputs.__wrapped__()
+        for a, b in zip(arrays(cached), arrays(fresh), strict=True):
+            assert a.tobytes() == b.tobytes()
+            assert not a.flags.writeable
+
+    def test_grid_and_royal_parts_are_views_of_the_sample(self):
+        # read-only like the sample itself (test_cached_inputs_match_fresh_builds)
+        sample, grid, royal, _, _ = proof_lab._certify_inputs()
+        n = proof_lab.TORUS_POINTS ** 2
+        assert grid.s.shape == (n,) and royal.s.shape == (proof_lab.ROYAL_SAMPLES,)
+        for part, at in ((grid, slice(None, n)), (royal, slice(n, None))):
+            for whole, view in zip(sample, part):
+                assert np.shares_memory(whole, view)
+                assert view.tobytes() == whole[at].tobytes()
+
+    @pytest.mark.parametrize("entry,honest,part,index", [
+        (normalize_and_extract, PIPELINE_MAPS["black_box"][0], 0, 0),
+        (normalize_and_extract, PIPELINE_MAPS["halving"][0], 0, proof_lab.TORUS_POINTS ** 2),
+        (fit_candidate, lift(make_moebius(1j, 0j)), 1, 0),
+        (force_c_zero, lift(make_moebius(1j, 0j)), 2, 0),
+    ], ids=["torus_grid", "royal_points", "fit_candidate", "force_c_zero"])
+    def test_map_writing_into_its_input_raises(self, entry, honest, part, index):
+        # normalize_and_extract passes the stacked sample, torus grid then royal
+        # points, fit_candidate its grid part and force_c_zero its royal part
+        before = entry(honest)
 
         def vandal(q):
-            if q is proof_lab._certify_points():
+            if q is proof_lab._certify_inputs()[part]:
                 q.s[index] = 0.0
                 q.p *= 2.0
             return honest(q)
 
         with pytest.raises(ValueError, match="read-only"):
-            normalize_and_extract(vandal)
-        assert normalize_and_extract(honest) == before
+            entry(vandal)
+        assert entry(honest) == before
+
+    @pytest.mark.parametrize("entry", [normalize_and_extract, fit_candidate, force_c_zero],
+                             ids=lambda entry: entry.__name__)
+    @pytest.mark.parametrize("map_like", [lambda q: SymPoint(0j, 0j), lambda q: SymPoint(q.s, 0j)],
+                             ids=["scalar", "scalar_p"])
+    def test_map_of_another_shape_raises(self, entry, map_like):
+        # both maps fix the origin; on the sample they break the map contract, which
+        # numpy reported as a TypeError or ValueError, or force_c_zero broadcast away
+        with pytest.raises(PreconditionUnmet, match="input's shape .*np.vectorize"):
+            entry(map_like)

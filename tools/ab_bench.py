@@ -2,24 +2,29 @@
 
 Usage, from anywhere inside a git checkout of symbidisc:
 
-    python3 tools/ab_bench.py --workload geometry --pairs 10 --first-seed 901 [--rev HEAD]
+    python3 tools/ab_bench.py --workload geometry [certify cli] --pairs 10 --first-seed 901 [--rev HEAD]
 
 The parent revision is checked out with `git worktree add --detach` into a temporary
-directory. For each seed, `perfbench/run.py` runs once in the parent and once in
-the working tree, each with its own copy of the benchmark, for BENCHMARK.json's
-run_seconds; the parent runs first for even-numbered pairs and second for odd
-ones, so a drift of the machine's speed over the session does not favour either
-side. For every end-to-end metric of
-BENCHMARK.json the script prints the median over the pairs of change/parent, the
-number of pairs on which the change was better (in the direction BENCHMARK.json
-declares), and the parent's interquartile range over its median, the spread a gain
-has to clear. The worktree is removed at the end, also after a failure.
+directory. For each workload named, in turn, and each seed, `perfbench/run.py` runs
+once in the parent and once in the working tree, each with its own copy of the
+benchmark, for BENCHMARK.json's run_seconds; the parent runs first for
+even-numbered pairs and second for odd ones, so a drift of the machine's speed over
+the session does not favour either side. For each workload, and every end-to-end
+metric of BENCHMARK.json, the script prints the median over the pairs of
+change/parent, the number of pairs on which the change was better (in the
+direction BENCHMARK.json declares), and the parent's interquartile range over its
+median, the spread a gain has to clear. Each table's header states
+PYTHONDONTWRITEBYTECODE, which the runs inherit: when it is set, no bytecode is
+cached, so every CLI start compiles the package from source and the CLI metrics
+grow with the source size of the modules it loads. The worktree is removed at the
+end, also after a failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -88,44 +93,60 @@ def _run(checkout: Path, workload: str, seed: int, seconds: int) -> str:
     return proc.stdout
 
 
-def main(argv=None) -> int:
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+def parse_args(argv, workloads: list[str]) -> argparse.Namespace:
+    """The command line; --workload takes one or more of BENCHMARK.json's workloads."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True,
-                        choices=[workload["name"] for workload in benchmark["workloads"]])
+    parser.add_argument("--workload", required=True, nargs="+", choices=workloads)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=901)
     parser.add_argument("--rev", default="HEAD", help="the parent revision (default HEAD)")
     args = parser.parse_args(argv)
+    args.workload = list(dict.fromkeys(args.workload))  # each workload once, in order
+    return args
+
+
+def header(workload: str, args: argparse.Namespace, seconds: int) -> str:
+    """The line above a workload's table: the runs' settings."""
+    bytecode = os.environ.get("PYTHONDONTWRITEBYTECODE") or "unset"
+    return (f"workload {workload}, parent {args.rev}, {args.pairs} pairs from seed "
+            f"{args.first_seed}, {seconds} s per run, PYTHONDONTWRITEBYTECODE={bytecode}")
+
+
+def main(argv=None) -> int:
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    args = parse_args(argv, [workload["name"] for workload in benchmark["workloads"]])
 
     seconds = benchmark["run_seconds"]
     tmp = Path(tempfile.mkdtemp(prefix="ab_bench_"))
     parent = tmp / "parent"
+    pairs = {workload: [] for workload in args.workload}
     try:
         subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.rev],
                        cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
-        pairs = []
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            sides = [("parent", parent), ("change", ROOT)]
-            if i % 2:
-                sides.reverse()
-            outputs = {side: _run(checkout, args.workload, seed, seconds)
-                       for side, checkout in sides}
-            pairs.append((outputs["parent"], outputs["change"]))
-            verdicts = {side: result_of(out)["correct"] for side, out in outputs.items()}
-            print(f"pair {i + 1}/{args.pairs}  seed {seed}  {sides[0][0]} first  "
-                  f"correct: parent {verdicts['parent']}, change {verdicts['change']}",
-                  file=sys.stderr)
+        for workload in args.workload:
+            for i in range(args.pairs):
+                seed = args.first_seed + i
+                sides = [("parent", parent), ("change", ROOT)]
+                if i % 2:
+                    sides.reverse()
+                outputs = {side: _run(checkout, workload, seed, seconds)
+                           for side, checkout in sides}
+                pairs[workload].append((outputs["parent"], outputs["change"]))
+                verdicts = {side: result_of(out)["correct"] for side, out in outputs.items()}
+                print(f"{workload} pair {i + 1}/{args.pairs}  seed {seed}  {sides[0][0]} first  "
+                      f"correct: parent {verdicts['parent']}, change {verdicts['change']}",
+                      file=sys.stderr)
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT,
                        capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
-    print(f"workload {args.workload}, parent {args.rev}, {args.pairs} pairs from seed "
-          f"{args.first_seed}, {seconds} s per run")
-    print(format_rows(summarize(pairs, benchmark["end_to_end"])))
-    return 0 if all(result_of(out)["correct"] for pair in pairs for out in pair) else 1
+    for workload, runs in pairs.items():
+        print(header(workload, args, seconds))
+        print(format_rows(summarize(runs, benchmark["end_to_end"])))
+    correct = all(result_of(out)["correct"] for runs in pairs.values() for pair in runs
+                  for out in pair)
+    return 0 if correct else 1
 
 
 if __name__ == "__main__":
