@@ -50,19 +50,24 @@ from .sym_geometry import (
 
 __version__ = "0.3.0"
 
-# proof_lab's names, imported on first access (PEP 562), so that the scalar commands
-# load neither proof_lab nor the dataclasses module it needs
+# the lab's names, imported on first access (PEP 562): the scalar commands load
+# neither module, and commutator loads candidates without proof_lab, numpy or the
+# dataclasses module that proof_lab needs
+_CANDIDATE_NAMES = frozenset({
+    "CandidateMap", "CommutatorReport", "cauchy_bound_check", "commutator_experiment",
+    "commutator_jacobian", "evaluate_candidate", "iterate_commutator", "make_candidate",
+    "origin_jacobian", "weighted_form_extract",
+})
 _PROOF_LAB_NAMES = frozenset({
-    "CandidateMap", "CommutatorReport", "PipelineReport", "cauchy_bound_check",
-    "commutator_experiment", "commutator_jacobian", "evaluate_candidate", "fit_candidate",
-    "force_c_zero", "iterate_commutator", "make_candidate", "normalize_and_extract",
-    "orbit_sample", "origin_jacobian", "weighted_form_extract",
+    "PipelineReport", "fit_candidate", "force_c_zero", "normalize_and_extract", "orbit_sample",
 })
 
 
 def __getattr__(name: str):
-    if name in _PROOF_LAB_NAMES:
-        from . import proof_lab
-
-        return getattr(proof_lab, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _CANDIDATE_NAMES:
+        from . import candidates as lab
+    elif name in _PROOF_LAB_NAMES:
+        from . import proof_lab as lab
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(lab, name)

@@ -9,7 +9,8 @@ Exit codes:
   transport    3 when the point is not on the royal variety
   commutator   0 when no bound violation exists, 4 when one is found
   64           malformed or out-of-domain input, NaN and Infinity included
-  65           the requested operation failed on valid-looking input
+  65           the requested operation failed on valid-looking input, or its
+               arrays could not be allocated
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _cmd_transport(args) -> int:
 def _cmd_orbit(args) -> int:
     import numpy as np
 
-    from .proof_lab import _orbit_arrays
+    from .sampling import _orbit_arrays
 
     pt = _parse(args.point, sympoint_from_json)
     S, P = _orbit_arrays(pt, args.samples, args.seed)
@@ -130,7 +131,7 @@ def _rotation_from_json(obj) -> complex:
 
 
 def _cmd_commutator(args) -> int:
-    from .proof_lab import commutator_experiment
+    from .candidates import commutator_experiment
 
     F = _parse(args.candidate, candidate_from_json)
     tau = _parse(args.tau, _rotation_from_json)
@@ -201,7 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, ValueError) as exc:  # the package's errors derive from these
+    # the package's errors derive from the first two; MemoryError is an orbit too large
+    except (ArithmeticError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
 

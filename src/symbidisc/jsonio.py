@@ -15,8 +15,8 @@ from .disc_moebius import DiscAutomorphism, make_moebius
 from .g2_group import G2Automorphism, Jacobian2, lift
 from .sym_geometry import MembershipVerdict, SymPoint
 
-if TYPE_CHECKING:  # proof_lab is imported only by the decoder that needs it
-    from .proof_lab import CandidateMap, CommutatorReport
+if TYPE_CHECKING:  # candidates is imported only by the decoder that needs it
+    from .candidates import CandidateMap, CommutatorReport
 
 
 def complex_to_json(z: complex) -> dict:
@@ -86,7 +86,7 @@ def jacobian_to_json(J: Jacobian2) -> list:
 
 
 def candidate_from_json(obj: Any) -> CandidateMap:
-    from .proof_lab import DEGREE_CAP, make_candidate
+    from .candidates import DEGREE_CAP, make_candidate
 
     if not isinstance(obj, dict) or "terms" not in obj:
         raise ValueError("candidate needs key 'terms'")

@@ -15,8 +15,10 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .disc_moebius import DiscAutomorphism, make_moebius
-from .sym_geometry import SymPoint, symmetrize
+from .disc_moebius import DiscAutomorphism, _canonical_params, make_moebius
+from .errors import ParameterOutOfDomain, PreconditionUnmet
+from .g2_group import _lift_form
+from .sym_geometry import SymPoint, in_g2, symmetrize
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,3 +81,18 @@ def random_moebius_params(rng: np.random.Generator, count: int) -> tuple[np.ndar
 def random_moebius(rng: np.random.Generator) -> DiscAutomorphism:
     tau, a = random_moebius_params(rng, 1)
     return make_moebius(tau[0], a[0])
+
+
+def _orbit_arrays(pt: SymPoint, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """proof_lab.orbit_sample's images as two complex128 arrays (S, P), without boxing."""
+    import numpy as np
+
+    if count < 0:
+        raise ParameterOutOfDomain(f"orbit size {count} must not be negative")
+    if in_g2(pt).region != "interior":
+        raise PreconditionUnmet(f"{pt} is not an interior point")
+    if count == 0:
+        return np.empty(0, complex), np.empty(0, complex)
+    tau, a = _canonical_params(*random_moebius_params(rng_from_seed(seed), count))
+    S, P, _ = _lift_form(tau, a, pt.s, pt.p)
+    return S, P

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symbidisc import cli, proof_lab
+from symbidisc import cli, sampling
 from symbidisc.cli import CSV_HEADER, main
 
 
@@ -178,10 +178,16 @@ class TestOrbit:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "923485fbe77e5d7a90930534cdb79b536e0c3842a323c9cd365fbb935553e246")
 
+    def test_unallocatable_sample_count_exits_65(self, capsys):
+        # 21 PiB of draws: the allocation fails at once, before any memory is touched
+        code, out, err = run(capsys, "orbit", '{"s":0,"p":0}', "--samples", "1000000000000000")
+        assert (code, out) == (65, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_non_finite_image_exits_65(self, capsys, monkeypatch, fmt):
         nan = np.array([0.5, complex("nan")])
-        monkeypatch.setattr(proof_lab, "_orbit_arrays", lambda pt, count, seed: (nan, nan))
+        monkeypatch.setattr(sampling, "_orbit_arrays", lambda pt, count, seed: (nan, nan))
         code, out, err = run(capsys, "orbit", point(0.5, 0), "--samples", "2", "--format", fmt)
         assert code == 65 and out == "" and err != ""
 
@@ -217,10 +223,13 @@ class TestCommutator:
         code, _, err = run(capsys, "commutator", cand, "--tau", "-1")
         assert code == 65 and err != ""
 
+    def test_negative_degree_cap_exits_64(self, capsys):
+        code, out, err = run(capsys, "commutator", '{"terms":[],"degree_cap":-3}', "--tau", "-1")
+        assert (code, out) == (64, "") and "degree cap -3" in err
+
     def test_unnormalized_error_names_the_jacobian(self, capsys):
         # the message embeds Jacobian2's repr
-        code, out, err = run(capsys, "commutator", '{"terms":[],"degree_cap":-3}',
-                             "--tau", '{"re":0,"im":1}')
+        code, out, err = run(capsys, "commutator", '{"terms":[]}', "--tau", '{"re":0,"im":1}')
         assert (code, out) == (65, "")
         assert err == ("error: origin Jacobian Jacobian2(m11=0j, m12=0j, m21=0j, m22=0j) "
                        "is not of the form [[1, b], [0, d]]\n")
@@ -300,22 +309,25 @@ def test_scalar_commands_do_not_import_numpy():
     assert len(proc.stdout.splitlines()) == 4
 
 
+LAB_AND_NUMPY = ["symbidisc.candidates", "symbidisc.proof_lab", "symbidisc.sampling",
+                 "dataclasses", "numpy"]
+
+
 def test_scalar_commands_do_not_load_the_proof_lab(capsys):
-    # the proof lab, and the dataclasses module its PipelineReport needs, load only
-    # for orbit and commutator; commutator then prints the bytes that
+    # neither half of the lab, nor the dataclasses module that proof_lab's
+    # PipelineReport needs, loads; commutator then prints the bytes that
     # TestCommutator.test_output_bytes_are_pinned pins in process
     candidate = json.dumps({"degree_cap": 4, "terms": [
         {"j": 0, "k": 1, "S": 0.7, "P": {"re": 0.5, "im": 0.3}},
         {"j": 1, "k": 0, "S": 1, "P": 0}]})
     tau = '{"re": 0.6216099682706644, "im": 0.7833269096274834}'
-    lean = ["symbidisc.proof_lab", "symbidisc.sampling", "dataclasses", "numpy"]
     script = "\n".join([
         "import sys",
         "from symbidisc.cli import main",
         "main(['membership', '{\"s\": 0.9, \"p\": 0.2}'])",
         "main(['apply', '{\"h\": {\"tau\": 1, \"a\": 0.4}}', '{\"s\": 0.8, \"p\": 0.16}'])",
         "main(['transport', '{\"s\": 1.0, \"p\": 0.25}'])",
-        f"print([name for name in {lean!r} if name in sys.modules])",
+        f"print([name for name in {LAB_AND_NUMPY!r} if name in sys.modules])",
         f"sys.exit(main(['commutator', {candidate!r}, '--tau', {tau!r}]))",
     ])
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -325,6 +337,31 @@ def test_scalar_commands_do_not_load_the_proof_lab(capsys):
     lines = proc.stdout.splitlines(keepends=True)
     assert lines[3] == "[]\n"
     assert run(capsys, "commutator", candidate, "--tau", tau) == (4, lines[4], "")
+
+
+@pytest.mark.parametrize("argv,loaded,absent", [
+    (["membership", point(0.9, 0.2)], [], LAB_AND_NUMPY),
+    (["apply", IDENTITY_AUTO, point(0.8, 0.16)], [], LAB_AND_NUMPY),
+    (["transport", point(1.0, 0.25)], [], LAB_AND_NUMPY),
+    (["commutator", SHEAR_CANDIDATE, "--tau", "-1"], ["symbidisc.candidates"],
+     ["symbidisc.proof_lab", "symbidisc.sampling", "dataclasses", "inspect", "numpy"]),
+    (["orbit", point(0.5, 0), "--samples", "10"], ["symbidisc.sampling", "numpy"],
+     ["symbidisc.proof_lab", "dataclasses"]),
+], ids=["membership", "apply", "transport", "commutator", "orbit"])
+def test_each_command_loads_only_what_it_needs(argv, loaded, absent):
+    # one fresh interpreter per command, so that no other command's imports count
+    script = "\n".join([
+        "import sys",
+        "from symbidisc.cli import main",
+        f"code = main({argv!r})",
+        f"print([name for name in {loaded + absent!r} if name in sys.modules])",
+        "sys.exit(code)",
+    ])
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from symbidisc import (
     transport_to_origin,
     weighted_form_extract,
 )
-from symbidisc import proof_lab
+from symbidisc import proof_lab, sampling
 from symbidisc.proof_lab import CandidateMap
 from symbidisc.sampling import (
     random_disc,
@@ -94,6 +94,16 @@ class TestCandidateMap:
 
     def test_integral_float_exponents_are_read_as_ints(self):
         assert list(make_candidate({(1.0, 0): (1, 0)}).terms) == [(1, 0)]
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf, 2.5, -1])
+    def test_rejects_a_cap_that_is_not_a_non_negative_integer(self, cap):
+        # j + 2k > nan is False, so a NaN cap let a weighted-degree-7 term through
+        with pytest.raises(ParameterOutOfDomain, match="degree cap"):
+            make_candidate({(3, 2): (1, 0)}, degree_cap=cap)
+
+    def test_integral_float_cap_is_read_as_an_int(self):
+        F = make_candidate({(2, 1): (1, 0)}, degree_cap=4.0)
+        assert F.degree_cap == 4 and isinstance(F.degree_cap, int)
 
     @pytest.mark.parametrize("coefficients", [(NAN, 0), (0, NAN), (complex(0, math.inf), 1)])
     def test_rejects_non_finite_coefficients(self, coefficients):
@@ -491,7 +501,7 @@ class TestOrbit:
             apply_g2(lift(make_moebius(tau, a)), pt)
         # the same element drawn second, after a good one
         draw = (np.array([1j, tau], dtype=complex), np.array([0.2, a], dtype=complex))
-        monkeypatch.setattr(proof_lab, "random_moebius_params", lambda rng, count: draw)
+        monkeypatch.setattr(sampling, "random_moebius_params", lambda rng, count: draw)
         with pytest.raises(error):
             orbit_sample(pt, 2, 0)
 

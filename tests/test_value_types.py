@@ -151,6 +151,10 @@ def test_proof_lab_names_load_on_first_access():
         "import sys",
         "import symbidisc",
         "assert 'symbidisc.proof_lab' not in sys.modules, 'imported with the package'",
+        "assert 'symbidisc.candidates' not in sys.modules, 'imported with the package'",
+        "symbidisc.make_candidate",
+        "assert 'symbidisc.candidates' in sys.modules, 'make_candidate did not load candidates'",
+        "assert 'symbidisc.proof_lab' not in sys.modules, 'make_candidate loaded proof_lab'",
         "from symbidisc import normalize_and_extract",
         "import symbidisc.proof_lab as pl",
         "assert normalize_and_extract is pl.normalize_and_extract",
