@@ -43,6 +43,9 @@ CSV_HEADER = "re_s,im_s,re_p,im_p,sigma2_residual"
 CSV_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g"
 # sympoint_to_json plus the residual, as dumps prints it: floats by repr, no spaces
 JSON_ROW = '{"s":{"re":%r,"im":%r},"p":{"re":%r,"im":%r},"sigma2_residual":%r}'
+# orbit formats and writes this many rows at a time, so that its whole text is never
+# held in memory at once
+ORBIT_CHUNK = 4096
 
 
 class _InputError(Exception):
@@ -116,10 +119,13 @@ def _cmd_orbit(args) -> int:
     if not np.isfinite(table).all():
         raise ArithmeticError("an orbit image is not finite")
     if args.format == "csv":
-        sys.stdout.write(CSV_HEADER + "\n" + (CSV_ROW + "\n") * len(table)
-                         % tuple(table.ravel().tolist()))
-    else:  # adding 0.0 flushes negative zeros, as complex_to_json does
-        sys.stdout.write((JSON_ROW + "\n") * len(table) % tuple((table + 0.0).ravel().tolist()))
+        sys.stdout.write(CSV_HEADER + "\n")
+        row = CSV_ROW + "\n"
+    else:
+        table += 0.0  # flushes negative zeros, as complex_to_json does
+        row = JSON_ROW + "\n"
+    for chunk in np.split(table, range(ORBIT_CHUNK, len(table), ORBIT_CHUNK)):
+        sys.stdout.write(row * len(chunk) % tuple(chunk.ravel().tolist()))
     return 0
 
 

@@ -18,10 +18,11 @@ term above the truncation degree cannot hide from it. Every map it takes works a
 a numpy ufunc does: it gets one SymPoint whose coordinates are complex scalars or
 complex128 arrays and returns a SymPoint of the same shape (wrap a scalar-only
 callable with np.vectorize; another shape raises PreconditionUnmet), so the torus
-grid and the royal sample, stacked, go through the map in one call. One cache
-builds these fixed inputs once: the stacked sample, views of its grid and royal
-parts, and the DFT rows, all read-only. Orbit sampling supplies the evidence-level
-companion: origin orbits stay on the royal variety, non-royal orbits stay off it.
+grid and the royal sample, stacked, go through the map in one call. These fixed
+inputs are built once, when this module is imported: the stacked sample, views of
+its grid and royal parts, and the DFT rows, all read-only. Orbit sampling supplies
+the evidence-level companion: origin orbits stay on the royal variety, non-royal
+orbits stay off it.
 
 Everything here is seeded and deterministic; experiment results are pinned by
 (seed, count) alone.
@@ -29,11 +30,12 @@ Everything here is seeded and deterministic; experiment results are pinned by
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 # The scalar half, re-exported so that proof_lab.X keeps working for its public names.
 # The benchmark is a caller: perfbench/sections.py calls pl.commutator_experiment, and
@@ -78,14 +80,11 @@ def force_c_zero(map_like: Callable[[SymPoint], SymPoint]) -> tuple[bool, float]
     A non-finite image of a royal point raises ArithmeticError, as one on the torus
     grid does in fit_candidate.
     """
-    _, _, royal, _, _ = _certify_inputs()
-    return _verdict(_distances(royal, _images(map_like, royal)), "royal sample")
+    return _verdict(_distances(_ROYAL, _images(map_like, _ROYAL)), "royal sample")
 
 
 def _distances(pts: SymPoint, img: SymPoint):
     """The larger coordinate distance between each point and its image, as an array."""
-    import numpy as np
-
     # np.maximum, unlike max, passes a NaN on
     return np.maximum(abs(pts.s - img.s), abs(pts.p - img.p))
 
@@ -121,9 +120,8 @@ def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
     return list(map(tuple.__new__, itertools.repeat(SymPoint), zip(S.tolist(), P.tolist())))
 
 
-@functools.cache
 def _certify_inputs() -> tuple:
-    """Certify's fixed inputs (sample, grid, royal, rows_s, rows_p), built once, read-only.
+    """Certify's fixed inputs (sample, grid, royal, rows_s, rows_p), read-only.
 
     sample stacks the torus grid, whose entry j*n + k has angles 2*pi*(j, k)/n
     (n = TORUS_POINTS), and the seeded royal sample (2*lam, lam**2), |lam| < 0.9, so
@@ -132,8 +130,6 @@ def _certify_inputs() -> tuple:
     r_p. The exponent j*m is reduced mod n before scaling by 2*pi/n, so each entry is
     a root of unity rounded once, not the exp of a large rounded angle.
     """
-    import numpy as np
-
     n = TORUS_POINTS
     rs, rp = TORUS_RADII
     m = np.arange(n)
@@ -147,6 +143,9 @@ def _certify_inputs() -> tuple:
         array.setflags(write=False)  # so that no map can write into them
     g = n * n
     return SymPoint(s, p), SymPoint(s[:g], p[:g]), SymPoint(s[g:], p[g:]), *rows
+
+
+_SAMPLE, _GRID, _ROYAL, _ROWS_S, _ROWS_P = _certify_inputs()
 
 
 def _images(map_like: Callable[[SymPoint], SymPoint], pts: SymPoint) -> SymPoint:
@@ -164,17 +163,16 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint]) -> CandidateMap:
 
     Calls the map once at the origin and once on the whole TORUS_POINTS x TORUS_POINTS
     grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), the grid part of the
-    pipeline's one cache of read-only fixed inputs, and applies to the values the
-    cached rows of the 16-point DFT that are read: entry (j, k), divided by the grid
-    size and by r_s**j * r_p**k, is the trapezoidal-rule Cauchy integral for the
-    coefficient of s**j * p**k. Only monomials with j + 2k <= DEGREE_CAP are kept,
-    since higher ones would amplify rounding by r**-(j+2k). An origin image farther
-    than CERTIFY_TOL from the origin, or values of another shape than the grid's,
-    raise PreconditionUnmet, a non-finite image on the grid ArithmeticError.
+    pipeline's read-only fixed inputs, and applies to the values the fixed rows of
+    the 16-point DFT that are read: entry (j, k), divided by the grid size and by
+    r_s**j * r_p**k, is the trapezoidal-rule Cauchy integral for the coefficient of
+    s**j * p**k. Only monomials with j + 2k <= DEGREE_CAP are kept, since higher
+    ones would amplify rounding by r**-(j+2k). An origin image farther than
+    CERTIFY_TOL from the origin, or values of another shape than the grid's, raise
+    PreconditionUnmet, a non-finite image on the grid ArithmeticError.
     """
     _check_origin_image(map_like(ORIGIN))
-    _, grid, _, _, _ = _certify_inputs()
-    return _readout(_images(map_like, grid))
+    return _readout(_images(map_like, _GRID))
 
 
 def _check_origin_image(at_origin: SymPoint) -> None:
@@ -186,15 +184,12 @@ def _check_origin_image(at_origin: SymPoint) -> None:
 
 def _readout(images: SymPoint) -> CandidateMap:
     """fit_candidate's Cauchy readout of the map's values on the torus grid."""
-    import numpy as np
-
     n = TORUS_POINTS
     values = np.concatenate((images.s, images.p)).reshape(2, n, n)
     if not np.isfinite(values).all():
         raise ArithmeticError("the map has a non-finite value on the torus grid")
     js, ks = DEGREE_CAP + 1, DEGREE_CAP // 2 + 1
-    _, _, _, rows_s, rows_p = _certify_inputs()
-    S, P = (rows_s[:js] @ values @ rows_p[:ks].T).tolist()
+    S, P = (_ROWS_S[:js] @ values @ _ROWS_P[:ks].T).tolist()
     # keys in make_candidate's sorted order; (0, 0) is the origin image, checked apart
     return CandidateMap({(j, k): (S[j][k], P[j][k])
                          for j in range(js) for k in range(ks) if 0 < j + 2 * k <= DEGREE_CAP})
@@ -259,8 +254,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     img = map_like(ORIGIN)
     transport = transport_to_origin(img, CERTIFY_TOL)
     _check_origin_image(apply_g2(transport, img))
-    sample, _, _, _, _ = _certify_inputs()
-    moved = apply_g2(transport, _images(map_like, sample))
+    moved = apply_g2(transport, _images(map_like, _SAMPLE))
     n = TORUS_POINTS**2
     raw = _readout(SymPoint(moved.s[:n], moved.p[:n]))
 
@@ -271,7 +265,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     rot_inv = rot.conjugate()
     alpha, d, C = weighted_form_extract(raw)
     alpha, d, C = rot_inv * alpha, rot_inv * rot_inv * d, rot_inv * rot_inv * C
-    distances = _distances(sample, SymPoint(rot_inv * moved.s, rot_inv * rot_inv * moved.p))
+    distances = _distances(_SAMPLE, SymPoint(rot_inv * moved.s, rot_inv * rot_inv * moved.p))
     grid_ok, grid_residual = _verdict(distances[:n], "torus grid")
     royal_ok, royal_residual = _verdict(distances[n:], "royal sample")
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))

@@ -1,8 +1,7 @@
 """Seeded random generators for discs, group elements, and domain points.
 
 Every experiment in the package draws from these so that (seed, count) pins the
-result exactly. numpy is imported only when a generator is made, so that the
-modules importing this one stay numpy-free until they draw.
+result exactly.
 
 The array draws take all their doubles with one rng.random((count, m)) call, whose
 row i holds the doubles the scalar draws would take for sample i, in the same order.
@@ -13,37 +12,29 @@ cases, so each formula is written once.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .disc_moebius import DiscAutomorphism, _canonical_params, make_moebius
 from .errors import ParameterOutOfDomain, PreconditionUnmet
 from .g2_group import _lift_form
 from .sym_geometry import SymPoint, in_g2, symmetrize
 
-if TYPE_CHECKING:
-    import numpy as np
-
 # random_moebius and random_moebius_params draw |a| below this.
 MAX_A = 0.95
 
 
 def rng_from_seed(seed: int) -> np.random.Generator:
-    import numpy as np
-
     return np.random.default_rng(seed)
 
 
 def _unit_points(u: np.ndarray) -> np.ndarray:
-    import numpy as np
-
     theta = 2.0 * math.pi * u
     return np.cos(theta) + 1j * np.sin(theta)
 
 
 def _disc_points(u: np.ndarray, max_radius: float) -> np.ndarray:
     """Points of |z| < max_radius from rows (radius draw, angle draw) of u."""
-    import numpy as np
-
     # sqrt of the uniform draw makes the sample area-uniform
     return max_radius * np.sqrt(u[:, 0]) * _unit_points(u[:, 1])
 
@@ -85,8 +76,6 @@ def random_moebius(rng: np.random.Generator) -> DiscAutomorphism:
 
 def _orbit_arrays(pt: SymPoint, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """proof_lab.orbit_sample's images as two complex128 arrays (S, P), without boxing."""
-    import numpy as np
-
     if count < 0:
         raise ParameterOutOfDomain(f"orbit size {count} must not be negative")
     if in_g2(pt).region != "interior":

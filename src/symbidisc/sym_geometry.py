@@ -89,9 +89,10 @@ def _classify(margin: float, tol: float) -> MembershipVerdict:
 def in_g2(pt: SymPoint, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Classify by the larger root modulus; interior iff both roots are inside E.
 
-    Raises ArithmeticError where the root extraction overflows into NaN (|s|
-    beyond about 1e154, or |p| near the float limit), rather than report a NaN
-    margin as "boundary".
+    A root that overflows to infinity gives ("exterior", -inf), as SymPoint(2e154, 0)
+    and SymPoint(0, 1e308) do; CLI membership reports such a point with exit 65,
+    since JSON has no -inf. Only a NaN margin, as SymPoint(0, 1.7e308j) gives, raises
+    ArithmeticError, rather than be reported as "boundary".
     """
     r1, r2 = _roots(pt.s, pt.p)
     return _classify(1.0 - max(abs(r1), abs(r2)), tol)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import hashlib
 import io
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from symbidisc import cli, sampling
+from symbidisc import SymPoint, cli, in_sigma2, orbit_sample, sampling
 from symbidisc.cli import CSV_HEADER, main
+from symbidisc.jsonio import dumps, sympoint_to_json
 
 
 def run(capsys, *argv):
@@ -177,6 +179,23 @@ class TestOrbit:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "923485fbe77e5d7a90930534cdb79b536e0c3842a323c9cd365fbb935553e246")
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_rows_spanning_several_chunks_match_each_image(self, capsys, fmt):
+        # two full chunks and a remainder, against one row per image built on its own
+        count = 2 * cli.ORBIT_CHUNK + 123
+        code, out, _ = run(capsys, "orbit", point(0.5, 0), "--samples", str(count),
+                           "--seed", "7", "--format", fmt)
+        assert code == 0
+        images = orbit_sample(SymPoint(0.5, 0.0), count, 7)
+        if fmt == "csv":
+            rows = [CSV_HEADER] + [",".join("%.17g" % x for x in (q.s.real, q.s.imag, q.p.real,
+                                                                  q.p.imag, in_sigma2(q)[1]))
+                                   for q in images]
+        else:
+            rows = [dumps({**sympoint_to_json(q), "sigma2_residual": in_sigma2(q)[1]})
+                    for q in images]
+        assert out == "".join(row + "\n" for row in rows)
 
     def test_unallocatable_sample_count_exits_65(self, capsys):
         # 21 PiB of draws: the allocation fails at once, before any memory is touched
@@ -362,6 +381,40 @@ def test_each_command_loads_only_what_it_needs(argv, loaded, absent):
                           text=True, timeout=60)
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+# The numpy boundary: the modules that import numpy when they load, and the functions
+# that import it when called. Moving the boundary means editing these two sets.
+NUMPY_AT_LOAD = {"sampling", "proof_lab"}
+NUMPY_IN_FUNCTIONS = {("g2_group", "_lift_form"), ("cli", "_cmd_orbit")}
+
+
+def _numpy_imports(node, function=None):
+    """The enclosing function's name, None at module level, for each numpy import."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _numpy_imports(child, child.name)
+        elif isinstance(child, ast.Import):
+            yield from (function for alias in child.names
+                        if alias.name.partition(".")[0] == "numpy")
+        elif isinstance(child, ast.ImportFrom):
+            if (child.module or "").partition(".")[0] == "numpy":
+                yield function
+        else:
+            yield from _numpy_imports(child, function)
+
+
+def test_numpy_is_imported_only_inside_the_boundary():
+    # the scalar modules stay numpy-free, so that the scalar commands never load it
+    at_load, in_functions = set(), set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "symbidisc").glob("*.py"):
+        for function in _numpy_imports(ast.parse(path.read_text())):
+            if function is None:
+                at_load.add(path.stem)
+            else:
+                in_functions.add((path.stem, function))
+    assert at_load == NUMPY_AT_LOAD
+    assert in_functions == NUMPY_IN_FUNCTIONS
 
 
 # ---------------------------------------------------------------------------

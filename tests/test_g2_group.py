@@ -324,6 +324,61 @@ def test_closed_form_against_50_digit_mpmath():
         assert errors[-1] <= worst * EPS
 
 
+# ---------------------------------------------------------------------------
+# Symbolic oracle: the closed form is the root route, and jacobian_at its derivative
+# ---------------------------------------------------------------------------
+
+class TestClosedFormSymbolic:
+    """_lift_form's grouped rows and jacobian_at's entries, transcribed into sympy.
+
+    a and its conjugate are independent symbols, so each identity holds as one of
+    rational functions, for conj(a) in particular.
+    """
+
+    @pytest.fixture(scope="class")
+    def symbolic(self):
+        sympy = pytest.importorskip("sympy")
+        tau, a, abar, s, p = sympy.symbols("tau a abar s p")
+        den = 1 - abar * s + abar * abar * p
+        S = tau * ((s - 2 * a) + abar * (a * s - 2 * p)) / den
+        P = tau * tau * ((p - a * s) + a * a) / den
+        jacobian = ((tau * (1 + abar * a) + abar * S) / den,
+                    (-2 * tau * abar - abar * abar * S) / den,
+                    (-tau * tau * a + abar * P) / den,
+                    (tau * tau - abar * abar * P) / den)
+        return sympy, (tau, a, abar, s, p), S, P, jacobian
+
+    def test_closed_form_equals_root_route(self, symbolic):
+        sympy, (tau, a, abar, s, p), S, P, _ = symbolic
+        r1, r2 = sympy.symbols("r1 r2")
+
+        def h(r):  # apply_moebius
+            return tau * (r - a) / (1 - abar * r)
+
+        roots = {s: r1 + r2, p: r1 * r2}
+        assert sympy.simplify(S.subs(roots) - h(r1) - h(r2)) == 0
+        assert sympy.simplify(P.subs(roots) - h(r1) * h(r2)) == 0
+
+    def test_jacobian_entries_are_the_partial_derivatives(self, symbolic):
+        sympy, (_, _, _, s, p), S, P, jacobian = symbolic
+        for entry, (f, v) in zip(jacobian, [(S, s), (S, p), (P, s), (P, p)], strict=True):
+            assert sympy.simplify(entry - sympy.diff(f, v)) == 0
+
+    def test_transcription_matches_the_code(self, symbolic):
+        # the proofs above are about the code only if the transcription is the code
+        sympy, symbols, S, P, jacobian = symbolic
+        transcribed = sympy.lambdify(symbols, (S, P, *jacobian))
+        rng = rng_from_seed(607)
+        for _ in range(200):
+            H, pt = lift(random_moebius(rng)), random_interior(rng)
+            tau, a = H.h.tau, H.h.a
+            want = transcribed(tau, a, a.conjugate(), pt.s, pt.p)
+            got = (*apply_g2(H, pt), *jacobian_at(H, pt))
+            # the two evaluations round differently, each within the mpmath bound above
+            for x, y in zip(got, want, strict=True):
+                assert abs(x - y) <= JACOBIAN_WORST_EPS * EPS * max(1, abs(y))
+
+
 class TestCaratheodoryInvariance:
     """Automorphisms preserve the Caratheodory distance, a root-free oracle at any pair.
 

@@ -846,7 +846,7 @@ class TestArrayPipeline:
         # the origin for the transport, then the torus grid and the royal sample stacked
         assert len(calls) == 2
         assert calls[0] == ORIGIN
-        assert calls[1] is proof_lab._certify_inputs()[0]
+        assert calls[1] is proof_lab._SAMPLE
         assert calls[1].s.shape == (proof_lab.TORUS_POINTS ** 2 + proof_lab.ROYAL_SAMPLES,)
 
     @pytest.mark.parametrize("failure,error", [
@@ -895,7 +895,7 @@ class TestArrayPipeline:
 
         def map_like(q):
             image = apply_g2(H, q)
-            if q is proof_lab._certify_inputs()[0]:
+            if q is proof_lab._SAMPLE:
                 image.s[proof_lab.TORUS_POINTS ** 2 + 5] = NAN
             return image
 
@@ -920,13 +920,14 @@ class TestArrayPipeline:
         assert [normalize_and_extract(map_like) for map_like in maps] == before
 
     def test_cached_inputs_match_fresh_builds(self):
-        normalize_and_extract(PIPELINE_MAPS["halving"][0])  # fills the cache
-
+        # the module constants, built at import, against a fresh build
         def arrays(inputs):  # s and p of the sample, grid and royal parts, then the rows
             sample, grid, royal, rows_s, rows_p = inputs
             return [*sample, *grid, *royal, rows_s, rows_p]
 
-        cached, fresh = proof_lab._certify_inputs(), proof_lab._certify_inputs.__wrapped__()
+        cached = (proof_lab._SAMPLE, proof_lab._GRID, proof_lab._ROYAL,
+                  proof_lab._ROWS_S, proof_lab._ROWS_P)
+        fresh = proof_lab._certify_inputs()
         for a, b in zip(arrays(cached), arrays(fresh), strict=True):
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable
@@ -953,7 +954,7 @@ class TestArrayPipeline:
         before = entry(honest)
 
         def vandal(q):
-            if q is proof_lab._certify_inputs()[part]:
+            if q is (proof_lab._SAMPLE, proof_lab._GRID, proof_lab._ROYAL)[part]:
                 q.s[index] = 0.0
                 q.p *= 2.0
             return honest(q)
