@@ -77,6 +77,9 @@ def _cmd_membership(args) -> int:
     pt = _parse(args.point, sympoint_from_json)
     verdict = in_g2(pt, args.tol)
     _, residual = in_sigma2(pt, args.tol)
+    if not (math.isfinite(verdict.margin) and math.isfinite(residual)):
+        raise ArithmeticError(f"the roots of {pt} or its sigma2 residual overflow: "
+                              f"margin {verdict.margin}, sigma2_residual {residual}")
     out = verdict_to_json(verdict)
     out["sigma2_residual"] = residual
     print(dumps(out))

@@ -66,7 +66,7 @@ def apply_g2(H: G2Automorphism, pt: SymPoint) -> SymPoint:
     membership is not enforced here.
     """
     S, P, _ = _lift_form(H.h.tau, H.h.a, pt.s, pt.p)
-    return SymPoint(S, P)
+    return tuple.__new__(SymPoint, (S, P))
 
 
 def _lift_form(tau, a, s, p):

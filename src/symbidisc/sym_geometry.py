@@ -19,8 +19,9 @@ DEFAULT_TOL = 1e-9
 class SymPoint(NamedTuple):
     """A point of C^2 in (sum, product) coordinates.
 
-    Construction checks nothing (a NamedTuple cannot override __new__), so
-    orbit_sample may box with tuple.__new__(SymPoint, (s, p)) for SymPoint(s, p).
+    Construction checks nothing (a NamedTuple cannot override __new__), so the
+    per-point producers apply_g2, symmetrize and orbit_sample box with the C call
+    tuple.__new__(SymPoint, (s, p)) that SymPoint(s, p) ends in.
     """
 
     s: complex
@@ -43,7 +44,7 @@ ORIGIN = SymPoint(0j, 0j)
 
 
 def symmetrize(lam1: complex, lam2: complex) -> SymPoint:
-    return SymPoint(lam1 + lam2, lam1 * lam2)
+    return tuple.__new__(SymPoint, (lam1 + lam2, lam1 * lam2))
 
 
 def _roots(s: complex, p: complex) -> tuple[complex, complex]:
@@ -78,11 +79,11 @@ def desymmetrize(pt: SymPoint) -> RootPair:
 
 def _classify(margin: float, tol: float) -> MembershipVerdict:
     if margin > tol:
-        return MembershipVerdict("interior", margin)
+        return tuple.__new__(MembershipVerdict, ("interior", margin))
     if margin < -tol:
-        return MembershipVerdict("exterior", margin)
+        return tuple.__new__(MembershipVerdict, ("exterior", margin))
     if -tol <= margin <= tol:
-        return MembershipVerdict("boundary", margin)
+        return tuple.__new__(MembershipVerdict, ("boundary", margin))
     raise ArithmeticError(f"membership margin {margin} or tolerance {tol} is not a number")
 
 
@@ -90,9 +91,9 @@ def in_g2(pt: SymPoint, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     """Classify by the larger root modulus; interior iff both roots are inside E.
 
     A root that overflows to infinity gives ("exterior", -inf), as SymPoint(2e154, 0)
-    and SymPoint(0, 1e308) do; CLI membership reports such a point with exit 65,
-    since JSON has no -inf. Only a NaN margin, as SymPoint(0, 1.7e308j) gives, raises
-    ArithmeticError, rather than be reported as "boundary".
+    and SymPoint(0, 1e308) do; CLI membership exits 65 on such a point with an error
+    that names it and its overflowing roots. Only a NaN margin, as SymPoint(0, 1.7e308j)
+    gives, raises ArithmeticError, rather than be reported as "boundary".
     """
     r1, r2 = _roots(pt.s, pt.p)
     return _classify(1.0 - max(abs(r1), abs(r2)), tol)

@@ -87,3 +87,32 @@ def test_header_states_the_bytecode_setting(monkeypatch, value, shown):
     line = ab_bench.header("cli", args, 40)
     assert line.startswith("workload cli, parent HEAD, 10 pairs from seed 7, 40 s per run")
     assert line.endswith(f"PYTHONDONTWRITEBYTECODE={shown}")
+
+
+CLAIMS = [{"name": "rate", "better": "higher"}, {"name": "ms", "better": "lower"},
+          {"name": "noisy", "better": "higher"}]
+
+
+def test_claim_rule_needs_nine_tenths_of_the_wins_and_a_gap_beyond_the_spread():
+    # rate: 10/10 wins by 100 against a parent IQR of 5.5; ms: wins by 5 on 8 of 10
+    # pairs only; noisy: 10/10 wins, by 1, against a parent IQR of 55
+    pairs = [(output(rate=100.0 + i, ms=10.0, noisy=100.0 + 10 * i),
+              output(rate=200.0 + i, ms=5.0 if i < 8 else 20.0, noisy=101.0 + 10 * i))
+             for i in range(10)]
+    rate, ms, noisy = ab_bench.summarize(pairs, CLAIMS)
+    assert (rate.wins, ms.wins, noisy.wins) == (10, 8, 10)
+    # exclusive quartiles of 100..109 are 101.75 and 107.25
+    assert rate.parent == (101.75, 104.5, 107.25) and rate.change == (201.75, 204.5, 207.25)
+    assert noisy.parent.q3 - noisy.parent.q1 == pytest.approx(55.0)
+    assert ab_bench.verdict(rate) == "gain"
+    assert ab_bench.verdict(ms) == "no gain: 8/10 wins"
+    assert ab_bench.verdict(noisy) == "no gain: median gap inside the parent's IQR"
+    assert ab_bench.verdict(ab_bench.summarize(pairs[:9], CLAIMS)[0]) == (
+        "no gain: 9 pairs, fewer than 10")
+    lines = ab_bench.format_quartiles([rate, ms, noisy]).splitlines()
+    assert lines[0].split() == ["metric", "parent", "q1", "median", "q3", "change", "q1",
+                                "median", "q3", "verdict"]
+    assert lines[1].split() == ["rate", "101.75", "104.5", "107.25", "201.75", "204.5",
+                                "207.25", "gain"]
+    assert lines[2].split()[:7] == ["ms", "10", "10", "10", "5", "5", "8.75"]
+    assert lines[2].endswith("no gain: 8/10 wins")

@@ -487,3 +487,16 @@ def test_overflowing_membership_point_exits_65():
     # finite input whose root extraction overflows: s*s - 4p is NaN, so is the margin
     code, out = run_quiet("membership", '{"s": 0, "p": {"re": 0, "im": 1.7e308}}')
     assert code == 65 and out == ""
+
+
+@pytest.mark.parametrize("text,shown", [
+    ('{"s": {"re": 2e154, "im": 0}, "p": 0}', "SymPoint(s=(2e+154+0j), p=0j)"),
+    ('{"s": 0, "p": 1e308}', "SymPoint(s=0j, p=(1e+308+0j))"),
+], ids=["s", "p"])
+def test_membership_names_an_overflowing_root(capsys, text, shown):
+    # a root overflows to infinity: the margin is -inf and the residual inf, which
+    # JSON cannot carry, so the error names the point rather than the encoder's refusal
+    code, out, err = run(capsys, "membership", text)
+    assert code == 65 and out == ""
+    assert err == (f"error: the roots of {shown} or its sigma2 residual overflow: "
+                   "margin -inf, sigma2_residual inf\n")

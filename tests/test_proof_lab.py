@@ -904,8 +904,8 @@ class TestArrayPipeline:
         assert excinfo.type is ArithmeticError
 
     def test_fixed_inputs_are_built_once(self, monkeypatch):
-        # after the first certify the torus grid, DFT rows and royal sample are cached:
-        # no generator, FFT, exp, sin/cos or grid layout runs again
+        # the torus grid, DFT rows and royal sample are module constants built at import:
+        # no generator, FFT, exp, sin/cos or grid layout runs in a certify call
         maps = [PIPELINE_MAPS[kind][0] for kind in ("black_box", "injected", "halving")]
         before = [normalize_and_extract(map_like) for map_like in maps]
 

@@ -7,7 +7,11 @@ it is pinned here on one seeded instance of each type.
 """
 
 import ast
+import cmath
+import math
 import os
+import pickle
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,13 +19,18 @@ from pathlib import Path
 import pytest
 
 from symbidisc import (
+    MembershipVerdict,
     SymPoint,
+    apply_g2,
+    apply_g2_via_roots,
     commutator_experiment,
     desymmetrize,
     in_g2,
     jacobian_at,
     lift,
     make_candidate,
+    make_moebius,
+    symmetrize,
 )
 from symbidisc.sampling import random_interior, random_moebius, rng_from_seed
 
@@ -96,6 +105,69 @@ def test_replace_builds_a_new_value():
     pt = SymPoint(0.5, 0.1)
     assert pt._replace(p=0.2j) == SymPoint(0.5, 0.2j)
     assert pt == SymPoint(0.5, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# The per-point kernels box their results with tuple.__new__, the C call that a
+# NamedTuple's generated __new__ ends in, and so give the values it would give
+# ---------------------------------------------------------------------------
+
+
+def root_cloud(count: int = 100, seed: int = 2020) -> list:
+    """Seeded (lam1, lam2, SymPoint) triples; lam1 runs through |lam1| = 0.6, 1, 1.4,
+    so the points fall in all three membership regions; |lam2| < 0.5."""
+    rng = random.Random(seed)
+    cloud = []
+    for i in range(count):
+        lam1 = cmath.rect((0.6, 1.0, 1.4)[i % 3], rng.uniform(0.0, 2.0 * math.pi))
+        lam2 = cmath.rect(0.5 * rng.random(), rng.uniform(0.0, 2.0 * math.pi))
+        cloud.append((lam1, lam2, SymPoint(lam1 + lam2, lam1 * lam2)))
+    return cloud
+
+
+H = lift(make_moebius(cmath.exp(0.7j), 0.3 - 0.2j))
+# name -> (the type it returns, the kernel called on one triple of root_cloud)
+PRODUCERS = {
+    "apply_g2": (SymPoint, lambda lam1, lam2, pt: apply_g2(H, pt)),
+    "apply_g2_via_roots": (SymPoint, lambda lam1, lam2, pt: apply_g2_via_roots(H, pt)),
+    "symmetrize": (SymPoint, lambda lam1, lam2, pt: symmetrize(lam1, lam2)),
+    "in_g2": (MembershipVerdict, lambda lam1, lam2, pt: in_g2(pt)),
+}
+
+
+def test_per_point_kernels_box_without_a_python_call(monkeypatch):
+    cloud = root_cloud()
+    calls = []
+    for cls in (SymPoint, MembershipVerdict):
+        def counting(cls, *fields, generated=cls.__new__):
+            calls.append(cls.__name__)
+            return generated(cls, *fields)
+
+        monkeypatch.setattr(cls, "__new__", counting)
+    values = {name: [produce(*triple) for triple in cloud]
+              for name, (_, produce) in PRODUCERS.items()}
+    assert {verdict.region for verdict in values["in_g2"]} == {"interior", "boundary",
+                                                               "exterior"}
+    assert calls == []
+    # the counters do count a constructor call
+    SymPoint(0j, 0j)
+    MembershipVerdict("interior", 1.0)
+    assert calls == ["SymPoint", "MembershipVerdict"]
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCERS))
+def test_kernel_values_behave_as_constructed_ones(name):
+    cls, produce = PRODUCERS[name]
+    last = cls._fields[-1]
+    for triple in root_cloud():
+        value = produce(*triple)
+        built = cls(*value)
+        assert type(value) is cls and value == built
+        assert hash(value) == hash(built) and repr(value) == repr(built)
+        back = pickle.loads(pickle.dumps(value))
+        assert type(back) is cls and back == built
+        moved = value._replace(**{last: 0.0})
+        assert type(moved) is cls and moved == built._replace(**{last: 0.0})
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,11 @@ the session does not favour either side. For each workload, and every end-to-end
 metric of BENCHMARK.json, the script prints the median over the pairs of
 change/parent, the number of pairs on which the change was better (in the
 direction BENCHMARK.json declares), and the parent's interquartile range over its
-median, the spread a gain has to clear. Each table's header states
+median, the spread a gain has to clear. A second table gives each side's quartiles
+and median per metric, and the verdict of the claim rule: a gain needs at least 10
+pairs, wins on at least nine tenths of them (ties count for neither side), and a
+gap between the medians, in the better direction, wider than the parent's
+interquartile range. Each table's header states
 PYTHONDONTWRITEBYTECODE, which the runs inherit: when it is set, no bytecode is
 cached, so every CLI start compiles the package from source and the CLI metrics
 grow with the source size of the modules it loads. The worktree is removed at the
@@ -36,13 +40,32 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 
 
+class Quartiles(NamedTuple):
+    q1: float
+    median: float
+    q3: float
+
+
 class Row(NamedTuple):
     name: str
     better: str  # "higher" or "lower"
     ratio: float  # median over the pairs of change / parent
     wins: int  # pairs on which the change was better
     pairs: int  # pairs that reported the metric on both sides
-    parent_spread: float  # interquartile range of the parent's values over their median
+    parent: Quartiles  # of the parent's values
+    change: Quartiles  # of the change's values
+
+    @property
+    def parent_spread(self) -> float:
+        """The parent's interquartile range over its median."""
+        return (self.parent.q3 - self.parent.q1) / self.parent.median
+
+
+def quartiles(values: list[float]) -> Quartiles:
+    """Exclusive quartiles and median; a single value is all three."""
+    if len(values) < 2:
+        return Quartiles(values[0], values[0], values[0])
+    return Quartiles(*statistics.quantiles(values, n=4))
 
 
 def result_of(output: str) -> dict:
@@ -63,15 +86,10 @@ def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> list[Row]
                   for p, c in results if name in p["metrics"] and name in c["metrics"]]
         if not values:
             continue
-        parent = [p for p, _ in values]
         wins = sum((c > p) if better == "higher" else (c < p) for p, c in values)
-        if len(parent) >= 2:
-            q1, _, q3 = statistics.quantiles(parent, n=4)
-            spread = (q3 - q1) / statistics.median(parent)
-        else:
-            spread = 0.0
         rows.append(Row(name, better, statistics.median(c / p for p, c in values),
-                        wins, len(values), spread))
+                        wins, len(values), quartiles([p for p, _ in values]),
+                        quartiles([c for _, c in values])))
     return rows
 
 
@@ -80,6 +98,29 @@ def format_rows(rows: list[Row]) -> str:
     for row in rows:
         lines.append(f"{row.name:<24} {row.better:<7} {row.ratio:>13.4f} "
                      f"{row.wins:>3}/{row.pairs:<3} {row.parent_spread:>10.4f}")
+    return "\n".join(lines)
+
+
+def verdict(row: Row) -> str:
+    """The claim rule on one row: "gain", or "no gain" and the first test it fails."""
+    gap = row.change.median - row.parent.median
+    if row.better == "lower":
+        gap = -gap
+    if row.pairs < 10:
+        return f"no gain: {row.pairs} pairs, fewer than 10"
+    if 10 * row.wins < 9 * row.pairs:
+        return f"no gain: {row.wins}/{row.pairs} wins"
+    if gap <= row.parent.q3 - row.parent.q1:
+        return "no gain: median gap inside the parent's IQR"
+    return "gain"
+
+
+def format_quartiles(rows: list[Row]) -> str:
+    lines = [f"{'metric':<24} {'parent q1':>11} {'median':>11} {'q3':>11} "
+             f"{'change q1':>11} {'median':>11} {'q3':>11}  verdict"]
+    for row in rows:
+        sides = " ".join(f"{value:>11.6g}" for value in (*row.parent, *row.change))
+        lines.append(f"{row.name:<24} {sides}  {verdict(row)}")
     return "\n".join(lines)
 
 
@@ -143,7 +184,9 @@ def main(argv=None) -> int:
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
     for workload, runs in pairs.items():
         print(header(workload, args, seconds))
-        print(format_rows(summarize(runs, benchmark["end_to_end"])))
+        rows = summarize(runs, benchmark["end_to_end"])
+        print(format_rows(rows))
+        print(format_quartiles(rows))
     correct = all(result_of(out)["correct"] for runs in pairs.values() for pair in runs
                   for out in pair)
     return 0 if correct else 1
