@@ -8,7 +8,8 @@ Exit codes:
   membership   0 interior, 1 boundary, 2 exterior
   transport    3 when the point is not on the royal variety
   commutator   0 when no bound violation exists, 4 when one is found
-  64           malformed or out-of-domain input, NaN and Infinity included
+  64           malformed or out-of-domain input, NaN and Infinity included; stderr
+               carries argparse's usage line and the reason
   65           the requested operation failed on valid-looking input, or its
                arrays could not be allocated
 """
@@ -48,37 +49,23 @@ JSON_ROW = '{"s":{"re":%r,"im":%r},"p":{"re":%r,"im":%r},"sigma2_residual":%r}'
 ORBIT_CHUNK = 4096
 
 
-class _InputError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage problems are malformed input, not exit 2
-        raise _InputError(message)
-
-
-def _load_json(text: str):
-    if text == "-":
-        text = sys.stdin.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise _InputError(f"invalid JSON: {exc}") from exc
-
-
-def _parse(text: str, decode):
-    try:
-        return decode(_load_json(text))
-    except ValueError as exc:  # domain-type decoders raise ValueError subclasses
-        raise _InputError(str(exc)) from exc
+def _json(decode):
+    """argparse type for a JSON argument ('-' reads stdin) that `decode` turns into a value."""
+    def parse(text: str):
+        if text == "-":
+            text = sys.stdin.read()
+        try:
+            return decode(json.loads(text))
+        except ValueError as exc:  # JSONDecodeError and the decoders' errors alike
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return parse
 
 
 def _cmd_membership(args) -> int:
-    pt = _parse(args.point, sympoint_from_json)
-    verdict = in_g2(pt, args.tol)
-    _, residual = in_sigma2(pt, args.tol)
+    verdict = in_g2(args.point, args.tol)
+    _, residual = in_sigma2(args.point, args.tol)
     if not (math.isfinite(verdict.margin) and math.isfinite(residual)):
-        raise ArithmeticError(f"the roots of {pt} or its sigma2 residual overflow: "
+        raise ArithmeticError(f"the roots of {args.point} or its sigma2 residual overflow: "
                               f"margin {verdict.margin}, sigma2_residual {residual}")
     out = verdict_to_json(verdict)
     out["sigma2_residual"] = residual
@@ -87,10 +74,8 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_apply(args) -> int:
-    H = _parse(args.automorphism, g2_from_json)
-    pt = _parse(args.point, sympoint_from_json)
-    image = apply_g2(H, pt)
-    via_roots = apply_g2_via_roots(H, pt)
+    image = apply_g2(args.automorphism, args.point)
+    via_roots = apply_g2_via_roots(args.automorphism, args.point)
     out = sympoint_to_json(image)
     out["check"] = max(abs(image.s - via_roots.s), abs(image.p - via_roots.p))
     print(dumps(out))
@@ -98,9 +83,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_transport(args) -> int:
-    pt = _parse(args.point, sympoint_from_json)
     try:
-        H = transport_to_origin(pt, args.tol)
+        H = transport_to_origin(args.point, args.tol)
     except NotOnRoyalVariety as exc:
         print(f"not on the royal variety: {exc}", file=sys.stderr)
         return 3
@@ -113,8 +97,7 @@ def _cmd_orbit(args) -> int:
 
     from .sampling import _orbit_arrays
 
-    pt = _parse(args.point, sympoint_from_json)
-    S, P = _orbit_arrays(pt, args.samples, args.seed)
+    S, P = _orbit_arrays(args.point, args.samples, args.seed)
     sr, si, pr, pi = S.real, S.imag, P.real, P.imag
     # in_sigma2's |s*s - 4p| in real parts, rounded as CPython's complex arithmetic is
     residual = np.hypot((sr * sr - si * si) - 4.0 * pr, (sr * si + si * sr) - 4.0 * pi)
@@ -142,9 +125,7 @@ def _rotation_from_json(obj) -> complex:
 def _cmd_commutator(args) -> int:
     from .candidates import commutator_experiment
 
-    F = _parse(args.candidate, candidate_from_json)
-    tau = _parse(args.tau, _rotation_from_json)
-    report = commutator_experiment(F, tau, args.n_max)
+    report = commutator_experiment(args.candidate, args.tau, args.n_max)
     print(dumps(report_to_json(report)))
     return 0 if report.n_star is None else 4
 
@@ -167,9 +148,9 @@ def _tolerance(text: str) -> float:
     return tol
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="symbidisc", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="symbidisc", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, func, help_text):
@@ -177,40 +158,43 @@ def _build_parser() -> _Parser:
         p.set_defaults(func=func)
         return p
 
+    point = _json(sympoint_from_json)
+
     p = add("membership", _cmd_membership, "classify a point against the domain")
-    p.add_argument("point", help="point JSON (or '-' for stdin)")
+    p.add_argument("point", type=point, help="point JSON (or '-' for stdin)")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = add("apply", _cmd_apply, "apply a group element to a point, with cross-route check")
-    p.add_argument("automorphism", help="group element JSON (or '-' for stdin)")
-    p.add_argument("point", help="point JSON")
+    p.add_argument("automorphism", type=_json(g2_from_json),
+                   help="group element JSON (or '-' for stdin)")
+    p.add_argument("point", type=point, help="point JSON (or '-' for stdin)")
 
     p = add("transport", _cmd_transport, "group element sending a royal point to the origin")
-    p.add_argument("point", help="point JSON (or '-' for stdin)")
+    p.add_argument("point", type=point, help="point JSON (or '-' for stdin)")
     p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
     p = add("orbit", _cmd_orbit, "images of a point under seeded random group elements")
-    p.add_argument("point", help="point JSON (or '-' for stdin)")
+    p.add_argument("point", type=point, help="point JSON (or '-' for stdin)")
     p.add_argument("--seed", type=_count_from(0), default=42)
     p.add_argument("--samples", type=_count_from(0), default=1000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("commutator", _cmd_commutator, "rotation-commutator growth experiment")
-    p.add_argument("candidate", help="candidate map JSON (or '-' for stdin)")
-    p.add_argument("--tau", required=True, help="unit-modulus rotation, JSON complex")
+    p.add_argument("candidate", type=_json(candidate_from_json),
+                   help="candidate map JSON (or '-' for stdin)")
+    p.add_argument("--tau", type=_json(_rotation_from_json), required=True,
+                   help="unit-modulus rotation, JSON complex")
     p.add_argument("--n-max", type=_count_from(1), default=64)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 2 on malformed input, 0 after --help
+        return EXIT_USAGE if exc.code else 0
     # the package's errors derive from the first two; MemoryError is an orbit too large
     except (ArithmeticError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -109,6 +109,8 @@ def in_sigma2(pt: SymPoint, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 def royal_param(pt: SymPoint, tol: float = DEFAULT_TOL) -> complex:
     """The lam with pt = (2*lam, lam**2); requires pt on the royal variety."""
     member, residual = in_sigma2(pt, tol)
+    if not member and residual <= tol:  # on the variety, but not over the disc
+        raise NotOnRoyalVariety(f"|s/2| = {abs(pt.s) / 2.0} is not below 1 + {tol}")
     if not member:
         raise NotOnRoyalVariety(f"discriminant residual {residual} exceeds {tol}")
     return pt.s / 2.0

@@ -116,3 +116,39 @@ def test_claim_rule_needs_nine_tenths_of_the_wins_and_a_gap_beyond_the_spread():
                                 "207.25", "gain"]
     assert lines[2].split()[:7] == ["ms", "10", "10", "10", "5", "5", "8.75"]
     assert lines[2].endswith("no gain: 8/10 wins")
+
+
+BOUNDED = [{"name": "close", "better": "higher", "bound": 0.25},
+           {"name": "slow", "better": "lower", "bound": 0.25},
+           {"name": "noisy", "better": "higher", "bound": 0.25},
+           {"name": "clear", "better": "higher", "bound": 0.25}]
+
+
+def test_regression_rule_bounds_the_worsening_of_the_median():
+    # close: 5% worse on a parent spread of 5%; slow: 30% worse in time; noisy: a
+    # parent spread of 55/145 against a bound of 0.25; clear: the same parent
+    # spread, but every change run beats every parent run
+    pairs = [(output(close=100.0 + i, slow=10.0, noisy=100.0 + 10 * i, clear=100.0 + 10 * i),
+              output(close=95.0 + i, slow=13.0, noisy=99.0 + 10 * i, clear=200.0 + i))
+             for i in range(10)]
+    close, slow, noisy, clear = ab_bench.summarize(pairs, BOUNDED)
+    assert [row.bound for row in (close, slow, noisy, clear)] == [0.25] * 4
+    assert (close.beats_all, noisy.beats_all, clear.beats_all) == (False, False, True)
+    assert ab_bench.regression(close) == "within bound"
+    assert ab_bench.regression(slow) == "worse by 0.3000 > 0.25"
+    assert noisy.parent_spread == pytest.approx(55.0 / 145.0)
+    assert ab_bench.regression(noisy) == "unresolved"
+    assert ab_bench.regression(clear) == "within bound"
+    # a higher-is-better metric that halves is worse by half its parent median
+    (halved,) = ab_bench.summarize([(output(close=100.0), output(close=50.0))], BOUNDED[:1])
+    assert ab_bench.regression(halved) == "worse by 0.5000 > 0.25"
+
+
+def test_quartiles_table_puts_the_regression_verdict_next_to_the_gain_verdict():
+    pairs = [(output(close=100.0 + i, slow=10.0), output(close=95.0 + i, slow=13.0))
+             for i in range(10)]
+    lines = ab_bench.format_quartiles(ab_bench.summarize(pairs, BOUNDED)).splitlines()
+    assert lines[0].split()[-2:] == ["verdict", "regression"]
+    assert lines[1].endswith("no gain: 0/10 wins" + " " * 27 + "within bound")
+    assert lines[2].endswith("  worse by 0.3000 > 0.25")
+    assert lines[1].index("within") == lines[2].index("worse") == lines[0].index("regression")

@@ -15,7 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 from symbidisc import SymPoint, cli, in_sigma2, orbit_sample, sampling
 from symbidisc.cli import CSV_HEADER, main
-from symbidisc.jsonio import dumps, sympoint_to_json
+from symbidisc.jsonio import (
+    candidate_from_json,
+    dumps,
+    g2_from_json,
+    sympoint_from_json,
+    sympoint_to_json,
+)
 
 
 def run(capsys, *argv):
@@ -100,6 +106,10 @@ class TestApply:
         code, _, _ = run(capsys, "apply", '{"h": {"tau": 1, "a": 2}}', point(0, 0))
         assert code == 64
 
+    def test_automorphism_without_a_exits_64(self, capsys):
+        code, out, err = run(capsys, "apply", '{"h":{"tau":1}}', point(0, 0))
+        assert (code, out) == (64, "") and "needs keys 'tau' and 'a'" in err
+
     def test_degenerate_point_fails(self, capsys):
         auto = '{"h": {"tau": 1, "a": 0.5}}'
         code, _, err = run(capsys, "apply", auto, point(2, 0))
@@ -123,6 +133,15 @@ class TestTransport:
     def test_non_royal_exits_three(self, capsys):
         code, out, err = run(capsys, "transport", point(1, 0))
         assert code == 3 and out == "" and err != ""
+
+    @pytest.mark.parametrize("s,p,reason", [
+        (1, 0, "discriminant residual 1.0 exceeds 1e-09"),
+        (4, 4, "|s/2| = 2.0 is not below 1 + 1e-09"),
+    ], ids=["residual", "off_the_disc"])
+    def test_error_names_the_failed_condition(self, capsys, s, p, reason):
+        # (4, 4) = (2*2, 2**2) has residual 0: only |s/2| < 1 + tol fails
+        code, out, err = run(capsys, "transport", point(s, p))
+        assert (code, out, err) == (3, "", f"not on the royal variety: {reason}\n")
 
 
 class TestOrbit:
@@ -242,6 +261,11 @@ class TestCommutator:
         code, _, err = run(capsys, "commutator", cand, "--tau", "-1")
         assert code == 65 and err != ""
 
+    def test_negative_exponent_exits_64(self, capsys):
+        cand = '{"terms":[{"j":-1,"k":1,"S":0,"P":1}]}'
+        code, out, err = run(capsys, "commutator", cand, "--tau", "-1")
+        assert (code, out) == (64, "") and "negative exponents (-1, 1)" in err
+
     def test_negative_degree_cap_exits_64(self, capsys):
         code, out, err = run(capsys, "commutator", '{"terms":[],"degree_cap":-3}', "--tau", "-1")
         assert (code, out) == (64, "") and "degree cap -3" in err
@@ -309,6 +333,63 @@ class TestDeterminism:
     def test_unknown_command_is_exit_64(self, capsys):
         code, _, _ = run(capsys, "fly")
         assert code == 64
+
+
+def _reason(decode, text):
+    """What json.loads or the decoder says about text."""
+    with pytest.raises(ValueError) as excinfo:
+        decode(json.loads(text))
+    return str(excinfo.value)
+
+
+# Every JSON argument: its command, its name in argparse's messages, its decoder, a
+# valid text for it, and the command's arguments with X in its place.
+JSON_ARGUMENTS = {
+    "membership": ("membership", "point", sympoint_from_json, point(0.5, 0),
+                   lambda x: [x]),
+    "apply_automorphism": ("apply", "automorphism", g2_from_json, IDENTITY_AUTO,
+                           lambda x: [x, point(0.5, 0)]),
+    "apply_point": ("apply", "point", sympoint_from_json, point(0.5, 0),
+                    lambda x: [IDENTITY_AUTO, x]),
+    "transport": ("transport", "point", sympoint_from_json, point(1.0, 0.25),
+                  lambda x: [x]),
+    "orbit": ("orbit", "point", sympoint_from_json, point(0.5, 0),
+              lambda x: [x, "--samples", "3"]),
+    "commutator_candidate": ("commutator", "candidate", candidate_from_json,
+                             IDENTITY_CANDIDATE, lambda x: [x, "--tau", "-1"]),
+    "commutator_tau": ("commutator", "--tau", cli._rotation_from_json, "-1",
+                       lambda x: [IDENTITY_CANDIDATE, "--tau", x]),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("stdin", [False, True], ids=["argv", "stdin"])
+    @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["malformed", "rejected"])
+    @pytest.mark.parametrize("name", sorted(JSON_ARGUMENTS))
+    def test_every_json_argument_exits_64_with_usage_and_reason(self, capsys, monkeypatch,
+                                                                 name, text, stdin):
+        # "[]" is valid JSON that every decoder rejects with a ValueError
+        command, argument, decode, _, args = JSON_ARGUMENTS[name]
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, command, *args("-" if stdin else text))
+        assert (code, out) == (64, "")
+        assert err.startswith(f"usage: symbidisc {command} ")
+        assert err.endswith(f"\nsymbidisc {command}: error: argument {argument}: "
+                            f"{_reason(decode, text)}\n")
+
+    @pytest.mark.parametrize("name", sorted(JSON_ARGUMENTS))
+    def test_every_json_argument_reads_stdin(self, capsys, monkeypatch, name):
+        command, _, _, valid, args = JSON_ARGUMENTS[name]
+        expected = run(capsys, command, *args(valid))
+        monkeypatch.setattr("sys.stdin", io.StringIO(valid))
+        assert run(capsys, command, *args("-")) == expected
+
+    @pytest.mark.parametrize("argv", [["--help"], ["orbit", "--help"]], ids=["top", "command"])
+    def test_help_returns_0(self, capsys, argv):
+        # argparse exits after printing help; main returns its 0 instead of raising
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out.startswith("usage: symbidisc")
 
 
 def test_scalar_commands_do_not_import_numpy():

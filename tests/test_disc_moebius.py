@@ -58,6 +58,11 @@ class TestApply:
     def test_value_at_zero(self):
         assert apply_moebius(make_moebius(1, 0.5), 0) == -0.5
 
+    @pytest.mark.parametrize("lam", [0j, 0.3 - 0.2j, -0.9j])
+    def test_calling_the_map_applies_it(self, lam):
+        h = make_moebius(1j, 0.4 + 0.1j)
+        assert h(lam) == apply_moebius(h, lam)
+
     def test_pole_raises(self):
         with pytest.raises(PoleEncountered):
             apply_moebius(make_moebius(1, 0.5), 2.0)

@@ -53,6 +53,16 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             moebius_from_json({"tau": 1, "a": 2})
 
+    @pytest.mark.parametrize("bad", [{"tau": 1}, {"a": 0}, [1, 0]])
+    def test_moebius_needs_tau_and_a(self, bad):
+        with pytest.raises(ValueError, match="needs keys 'tau' and 'a'"):
+            moebius_from_json(bad)
+
+    @pytest.mark.parametrize("bad", [{}, {"tau": 1, "a": 0}, [{"tau": 1, "a": 0}]])
+    def test_g2_needs_h(self, bad):
+        with pytest.raises(ValueError, match="needs key 'h'"):
+            g2_from_json(bad)
+
     def test_sympoint_roundtrip(self):
         pt = SymPoint(0.9 + 0.3j, 0.2 - 0.1j)
         assert sympoint_from_json(sympoint_to_json(pt)) == pt

@@ -92,6 +92,11 @@ class TestCandidateMap:
         with pytest.raises(ParameterOutOfDomain, match="non-integral"):
             make_candidate({key: (1, 0)})
 
+    @pytest.mark.parametrize("key", [(-1, 1), (1, -1)])
+    def test_rejects_negative_exponents(self, key):
+        with pytest.raises(ParameterOutOfDomain, match="negative exponents"):
+            make_candidate({key: (1, 0)})
+
     def test_integral_float_exponents_are_read_as_ints(self):
         assert list(make_candidate({(1.0, 0): (1, 0)}).terms) == [(1, 0)]
 
@@ -701,6 +706,11 @@ class TestPipeline:
         with pytest.raises(NotOnRoyalVariety):
             normalize_and_extract(lambda q: SymPoint(q.s + origin_image.s, q.p + origin_image.p))
         assert issubclass(NotOnRoyalVariety, PreconditionUnmet)
+
+    def test_origin_image_off_the_disc_is_named(self):
+        # (4, 4) = (2*2, 2**2) is on the variety's equation; its |s/2| = 2 is what fails
+        with pytest.raises(NotOnRoyalVariety, match=r"^\|s/2\| = 2\.0 is not below 1 \+ "):
+            normalize_and_extract(lambda q: SymPoint(q.s + 4, q.p + 4))
 
     def test_group_b_vanishes_at_origin(self):
         rng = rng_from_seed(47)

@@ -281,6 +281,16 @@ class TestSigma2:
         with pytest.raises(NotOnRoyalVariety):
             royal_param(SymPoint(1, 0))
 
+    @pytest.mark.parametrize("pt,reason", [
+        (SymPoint(1, 0), "discriminant residual 1.0 exceeds 1e-09"),
+        (SymPoint(4, 4), "|s/2| = 2.0 is not below 1 + 1e-09"),
+    ], ids=["residual", "off_the_disc"])
+    def test_royal_param_names_the_failed_condition(self, pt, reason):
+        # (4, 4) = (2*2, 2**2) has residual 0: only |s/2| < 1 + tol fails
+        with pytest.raises(NotOnRoyalVariety) as excinfo:
+            royal_param(pt)
+        assert str(excinfo.value) == reason
+
     def test_param_squares_to_p(self):
         rng = rng_from_seed(13)
         for _ in range(500):

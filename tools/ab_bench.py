@@ -17,7 +17,12 @@ median, the spread a gain has to clear. A second table gives each side's quartil
 and median per metric, and the verdict of the claim rule: a gain needs at least 10
 pairs, wins on at least nine tenths of them (ties count for neither side), and a
 gap between the medians, in the better direction, wider than the parent's
-interquartile range. Each table's header states
+interquartile range. Next to it stands the verdict of the no-regression rule, for
+each metric that BENCHMARK.json gives a bound: "worse by X > bound" when the
+change's median is worse than the parent's by a share X of the parent's median
+that exceeds the bound, "unresolved" when the parent's interquartile range over its
+median is wider than the bound and some change run does not beat every parent run,
+and "within bound" otherwise. Each table's header states
 PYTHONDONTWRITEBYTECODE, which the runs inherit: when it is set, no bytecode is
 cached, so every CLI start compiles the package from source and the CLI metrics
 grow with the source size of the modules it loads. The worktree is removed at the
@@ -54,6 +59,8 @@ class Row(NamedTuple):
     pairs: int  # pairs that reported the metric on both sides
     parent: Quartiles  # of the parent's values
     change: Quartiles  # of the change's values
+    bound: float | None = None  # BENCHMARK.json's bound on a worsening, if it gives one
+    beats_all: bool = False  # every change value is better than every parent value
 
     @property
     def parent_spread(self) -> float:
@@ -87,9 +94,14 @@ def summarize(pairs: list[tuple[str, str]], end_to_end: list[dict]) -> list[Row]
         if not values:
             continue
         wins = sum((c > p) if better == "higher" else (c < p) for p, c in values)
+        parents, changes = [p for p, _ in values], [c for _, c in values]
+        if better == "higher":
+            beats_all = min(changes) > max(parents)
+        else:
+            beats_all = max(changes) < min(parents)
         rows.append(Row(name, better, statistics.median(c / p for p, c in values),
-                        wins, len(values), quartiles([p for p, _ in values]),
-                        quartiles([c for _, c in values])))
+                        wins, len(values), quartiles(parents), quartiles(changes),
+                        metric.get("bound"), beats_all))
     return rows
 
 
@@ -115,13 +127,32 @@ def verdict(row: Row) -> str:
     return "gain"
 
 
+def regression(row: Row) -> str:
+    """The no-regression rule on a row with a bound: "within bound", "worse by X >
+    bound", or "unresolved" when the parent's spread is wider than the bound."""
+    if row.parent_spread > row.bound and not row.beats_all:
+        return "unresolved"
+    worse = (row.change.median - row.parent.median) / row.parent.median
+    if row.better == "higher":
+        worse = -worse
+    if worse > row.bound:
+        return f"worse by {worse:.4f} > {row.bound}"
+    return "within bound"
+
+
 def format_quartiles(rows: list[Row]) -> str:
+    """Each side's quartiles, the claim rule's verdict and, where the row has a
+    bound, the no-regression rule's."""
+    # 43 is the width of the longest verdict, "no gain: median gap inside the parent's IQR"
+    bounded = any(row.bound is not None for row in rows)
     lines = [f"{'metric':<24} {'parent q1':>11} {'median':>11} {'q3':>11} "
-             f"{'change q1':>11} {'median':>11} {'q3':>11}  verdict"]
+             f"{'change q1':>11} {'median':>11} {'q3':>11}  "
+             f"{'verdict':<43}  {'regression' if bounded else ''}"]
     for row in rows:
         sides = " ".join(f"{value:>11.6g}" for value in (*row.parent, *row.change))
-        lines.append(f"{row.name:<24} {sides}  {verdict(row)}")
-    return "\n".join(lines)
+        lines.append(f"{row.name:<24} {sides}  {verdict(row):<43}  "
+                     f"{'' if row.bound is None else regression(row)}")
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: int) -> str:
