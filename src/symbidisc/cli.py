@@ -56,7 +56,7 @@ def _json(decode):
             text = sys.stdin.read()
         try:
             return decode(json.loads(text))
-        except ValueError as exc:  # JSONDecodeError and the decoders' errors alike
+        except (ValueError, RecursionError) as exc:  # bad JSON or value; too deep a nesting
             raise argparse.ArgumentTypeError(str(exc)) from exc
     return parse
 

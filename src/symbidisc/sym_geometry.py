@@ -50,15 +50,15 @@ def symmetrize(lam1: complex, lam2: complex) -> SymPoint:
 def _roots(s: complex, p: complex) -> tuple[complex, complex]:
     """Roots of z**2 - s*z + p in no particular order, computed cancellation-free.
 
-    The square root sign is chosen to maximize |s + d| and the second root comes
-    from p/q rather than the symmetric formula; the naive (s - d)/2 loses half the
-    digits whenever the roots nearly coincide (i.e. near the royal variety).
+    q takes the larger of s + d and s - d (s + d on a tie): the square root sign that
+    maximizes |s + d|, bit for bit, as IEEE s - d is exactly s + (-d). The second root
+    comes from p/q rather than the symmetric formula; the naive (s - d)/2 loses half
+    the digits whenever the roots nearly coincide (i.e. near the royal variety).
     """
     d = cmath.sqrt(s * s - 4.0 * p)
-    if abs(s + d) < abs(s - d):
-        d = -d
-    q = 0.5 * (s + d)
-    if q == 0:  # only when s = 0 and p = 0
+    plus, minus = s + d, s - d
+    q = 0.5 * (minus if abs(plus) < abs(minus) else plus)
+    if not q:  # only when s = 0 and p = 0
         return 0j, 0j
     return q, p / q
 
@@ -96,13 +96,15 @@ def in_g2(pt: SymPoint, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     gives, raises ArithmeticError, rather than be reported as "boundary".
     """
     r1, r2 = _roots(pt.s, pt.p)
-    return _classify(1.0 - max(abs(r1), abs(r2)), tol)
+    m1, m2 = abs(r1), abs(r2)
+    return _classify(1.0 - (m2 if m2 > m1 else m1), tol)  # max(m1, m2), without the call
 
 
 def in_sigma2(pt: SymPoint, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Royal-variety test. Returns (verdict, residual) with residual = |s**2 - 4p|."""
-    residual = abs(pt.s * pt.s - 4.0 * pt.p)
-    member = residual <= tol and abs(pt.s) / 2.0 < 1.0 + tol
+    s = pt.s
+    residual = abs(s * s - 4.0 * pt.p)
+    member = residual <= tol and abs(s) / 2.0 < 1.0 + tol
     return member, residual
 
 

@@ -152,3 +152,36 @@ def test_quartiles_table_puts_the_regression_verdict_next_to_the_gain_verdict():
     assert lines[1].endswith("no gain: 0/10 wins" + " " * 27 + "within bound")
     assert lines[2].endswith("  worse by 0.3000 > 0.25")
     assert lines[1].index("within") == lines[2].index("worse") == lines[0].index("regression")
+
+
+def test_record_is_one_json_line_with_both_verdicts(monkeypatch):
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    pairs = [(output(close=100.0 + i, slow=10.0), output(close=150.0 + i, slow=13.0))
+             for i in range(10)]
+    rows = ab_bench.summarize(pairs, BOUNDED + [{"name": "free", "better": "lower"}])
+    args = ab_bench.parse_args(["--workload", "geometry", "--first-seed", "7", "--pairs", "10"],
+                               WORKLOADS)
+    line = json.dumps(ab_bench.record("geometry", args, 40, rows))
+    assert "\n" not in line
+    rec = json.loads(line)
+    assert {key: rec[key] for key in ("workload", "rev", "seeds", "pairs", "seconds")} == {
+        "workload": "geometry", "rev": "HEAD", "seeds": list(range(7, 17)), "pairs": 10,
+        "seconds": 40}
+    assert rec["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert list(rec["metrics"]) == ["close", "slow"]  # metrics without values are left out
+    close, slow = rec["metrics"]["close"], rec["metrics"]["slow"]
+    assert close["parent"] == [101.75, 104.5, 107.25] and close["change"] == [151.75, 154.5, 157.25]
+    assert (close["better"], close["wins"], close["pairs"]) == ("higher", 10, 10)
+    assert (close["verdict"], close["regression"]) == ("gain", "within bound")
+    assert close["ratio"] == pytest.approx(ab_bench.summarize(pairs, BOUNDED)[0].ratio)
+    assert (slow["verdict"], slow["regression"]) == ("no gain: 0/10 wins", "worse by 0.3000 > 0.25")
+
+
+def test_record_leaves_regression_empty_without_a_bound(monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    rows = ab_bench.summarize([(output(rate=1.0), output(rate=2.0))], END_TO_END[:1])
+    args = ab_bench.parse_args(["--workload", "cli"], WORKLOADS)
+    rec = ab_bench.record("cli", args, 40, rows)
+    assert rec["PYTHONDONTWRITEBYTECODE"] is None and rec["seeds"] == list(range(901, 911))
+    assert rec["metrics"]["rate"]["regression"] is None
+    assert rec["metrics"]["rate"]["verdict"] == "no gain: 1 pairs, fewer than 10"

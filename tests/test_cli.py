@@ -378,6 +378,18 @@ class TestInputErrors:
         assert err.endswith(f"\nsymbidisc {command}: error: argument {argument}: "
                             f"{_reason(decode, text)}\n")
 
+    @pytest.mark.parametrize("stdin", [False, True], ids=["argv", "stdin"])
+    def test_deeply_nested_json_exits_64(self, capsys, monkeypatch, stdin):
+        # json.loads raises RecursionError, not ValueError; 10,000 bytes stay well
+        # under the 128 KiB limit on one command-line argument
+        text = "[" * 5_000 + "]" * 5_000
+        if stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "membership", "-" if stdin else text)
+        assert (code, out) == (64, "")
+        assert err.startswith("usage: symbidisc membership ")
+        assert "\nsymbidisc membership: error: argument point: maximum recursion depth" in err
+
     @pytest.mark.parametrize("name", sorted(JSON_ARGUMENTS))
     def test_every_json_argument_reads_stdin(self, capsys, monkeypatch, name):
         command, _, _, valid, args = JSON_ARGUMENTS[name]

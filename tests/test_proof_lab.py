@@ -929,7 +929,7 @@ class TestArrayPipeline:
         monkeypatch.setattr(np.fft, "fft2", forbidden)
         assert [normalize_and_extract(map_like) for map_like in maps] == before
 
-    def test_cached_inputs_match_fresh_builds(self):
+    def test_fixed_inputs_match_fresh_builds(self):
         # the module constants, built at import, against a fresh build
         def arrays(inputs):  # s and p of the sample, grid and royal parts, then the rows
             sample, grid, royal, rows_s, rows_p = inputs
@@ -943,7 +943,7 @@ class TestArrayPipeline:
             assert not a.flags.writeable
 
     def test_grid_and_royal_parts_are_views_of_the_sample(self):
-        # read-only like the sample itself (test_cached_inputs_match_fresh_builds)
+        # read-only like the sample itself (test_fixed_inputs_match_fresh_builds)
         sample, grid, royal, _, _ = proof_lab._certify_inputs()
         n = proof_lab.TORUS_POINTS ** 2
         assert grid.s.shape == (n,) and royal.s.shape == (proof_lab.ROYAL_SAMPLES,)

@@ -4,16 +4,16 @@ Usage, from anywhere inside a git checkout of symbidisc:
 
     python3 tools/ab_bench.py --workload geometry [certify cli] --pairs 10 --first-seed 901 [--rev HEAD]
 
-The parent revision is checked out with `git worktree add --detach` into a temporary
-directory. For each workload named, in turn, and each seed, `perfbench/run.py` runs
-once in the parent and once in the working tree, each with its own copy of the
-benchmark, for BENCHMARK.json's run_seconds; the parent runs first for
-even-numbered pairs and second for odd ones, so a drift of the machine's speed over
-the session does not favour either side. For each workload, and every end-to-end
-metric of BENCHMARK.json, the script prints the median over the pairs of
-change/parent, the number of pairs on which the change was better (in the
-direction BENCHMARK.json declares), and the parent's interquartile range over its
-median, the spread a gain has to clear. A second table gives each side's quartiles
+The parent revision is unpacked with `git archive` into a temporary directory,
+which is removed at the end, also after a failure. For each workload named, in
+turn, and each seed, `perfbench/run.py` runs once in the parent and once in the
+working tree, each with its own copy of the benchmark, for BENCHMARK.json's
+run_seconds; the parent runs first for even-numbered pairs and second for odd ones,
+so a drift of the machine's speed over the comparison does not favour either side.
+For each workload, and every end-to-end metric of BENCHMARK.json, the script
+prints the median over the pairs of change/parent, the number of pairs on which
+the change was better (in the direction BENCHMARK.json declares), and the
+parent's interquartile range over its median, the spread a gain has to clear. A second table gives each side's quartiles
 and median per metric, and the verdict of the claim rule: a gain needs at least 10
 pairs, wins on at least nine tenths of them (ties count for neither side), and a
 gap between the medians, in the better direction, wider than the parent's
@@ -25,8 +25,8 @@ median is wider than the bound and some change run does not beat every parent ru
 and "within bound" otherwise. Each table's header states
 PYTHONDONTWRITEBYTECODE, which the runs inherit: when it is set, no bytecode is
 cached, so every CLI start compiles the package from source and the CLI metrics
-grow with the source size of the modules it loads. The worktree is removed at the
-end, also after a failure.
+grow with the source size of the modules it loads. After a workload's tables comes
+one JSON line with the same numbers (`record`), the form a BENCH_<n>.json keeps.
 """
 
 from __future__ import annotations
@@ -155,6 +155,22 @@ def format_quartiles(rows: list[Row]) -> str:
     return "\n".join(line.rstrip() for line in lines)
 
 
+def record(workload: str, args: argparse.Namespace, seconds: int, rows: list[Row]) -> dict:
+    """A workload's A/B result as one JSON-ready object: the runs' settings, then per
+    metric each side's quartiles, the wins and both verdicts (regression is None for
+    a metric without a bound)."""
+    return {"workload": workload, "rev": args.rev,
+            "seeds": list(range(args.first_seed, args.first_seed + args.pairs)),
+            "pairs": args.pairs, "seconds": seconds,
+            "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE") or None,
+            "metrics": {row.name: {"better": row.better, "ratio": row.ratio,
+                                   "parent": list(row.parent), "change": list(row.change),
+                                   "wins": row.wins, "pairs": row.pairs,
+                                   "verdict": verdict(row),
+                                   "regression": None if row.bound is None else regression(row)}
+                        for row in rows}}
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: int) -> str:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -193,8 +209,10 @@ def main(argv=None) -> int:
     parent = tmp / "parent"
     pairs = {workload: [] for workload in args.workload}
     try:
-        subprocess.run(["git", "worktree", "add", "--detach", str(parent), args.rev],
-                       cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
+        parent.mkdir()
+        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT, check=True,
+                                 stdout=subprocess.PIPE).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
         for workload in args.workload:
             for i in range(args.pairs):
                 seed = args.first_seed + i
@@ -209,15 +227,13 @@ def main(argv=None) -> int:
                       f"correct: parent {verdicts['parent']}, change {verdicts['change']}",
                       file=sys.stderr)
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT,
-                       capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
-        subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
     for workload, runs in pairs.items():
         print(header(workload, args, seconds))
         rows = summarize(runs, benchmark["end_to_end"])
         print(format_rows(rows))
         print(format_quartiles(rows))
+        print(json.dumps(record(workload, args, seconds, rows)))
     correct = all(result_of(out)["correct"] for runs in pairs.values() for pair in runs
                   for out in pair)
     return 0 if correct else 1
