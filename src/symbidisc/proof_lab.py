@@ -30,6 +30,7 @@ Everything here is seeded and deterministic; experiment results are pinned by
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -80,7 +81,7 @@ def force_c_zero(map_like: Callable[[SymPoint], SymPoint]) -> tuple[bool, float]
     A non-finite image of a royal point raises ArithmeticError, as one on the torus
     grid does in fit_candidate.
     """
-    return _verdict(_distances(_ROYAL, _images(map_like, _ROYAL)), "royal sample")
+    return _verdict(float(_distances(_ROYAL, _images(map_like, _ROYAL)).max()), "royal sample")
 
 
 def _distances(pts: SymPoint, img: SymPoint):
@@ -89,9 +90,8 @@ def _distances(pts: SymPoint, img: SymPoint):
     return np.maximum(abs(pts.s - img.s), abs(pts.p - img.p))
 
 
-def _verdict(distances, sample: str) -> tuple[bool, float]:
-    """(residual <= CERTIFY_TOL, residual), the residual being the largest distance."""
-    residual = float(distances.max())
+def _verdict(residual: float, sample: str) -> tuple[bool, float]:
+    """(residual <= CERTIFY_TOL, residual), the residual being a sample's largest distance."""
     if not math.isfinite(residual):
         raise ArithmeticError(f"the map has a non-finite value on the {sample}")
     return residual <= CERTIFY_TOL, residual
@@ -146,6 +146,10 @@ def _certify_inputs() -> tuple:
 
 
 _SAMPLE, _GRID, _ROYAL, _ROWS_S, _ROWS_P = _certify_inputs()
+# _readout's rows, read-only views, and its keys in make_candidate's sorted order
+_READ_S, _READ_P = _ROWS_S[:DEGREE_CAP + 1], _ROWS_P[:DEGREE_CAP // 2 + 1].T
+_KEYS = [(j, k) for j in range(len(_READ_S)) for k in range(_READ_P.shape[1])
+         if 0 < j + 2 * k <= DEGREE_CAP]  # (0, 0) is the origin image, checked apart
 
 
 def _images(map_like: Callable[[SymPoint], SymPoint], pts: SymPoint) -> SymPoint:
@@ -163,13 +167,13 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint]) -> CandidateMap:
 
     Calls the map once at the origin and once on the whole TORUS_POINTS x TORUS_POINTS
     grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), the grid part of the
-    pipeline's read-only fixed inputs, and applies to the values the fixed rows of
-    the 16-point DFT that are read: entry (j, k), divided by the grid size and by
-    r_s**j * r_p**k, is the trapezoidal-rule Cauchy integral for the coefficient of
-    s**j * p**k. Only monomials with j + 2k <= DEGREE_CAP are kept, since higher
-    ones would amplify rounding by r**-(j+2k). An origin image farther than
-    CERTIFY_TOL from the origin, or values of another shape than the grid's, raise
-    PreconditionUnmet, a non-finite image on the grid ArithmeticError.
+    pipeline's read-only fixed inputs, and applies to the values, in two 2-D products,
+    the fixed rows of the 16-point DFT that are read: entry (j, k), divided by the
+    grid size and by r_s**j * r_p**k, is the trapezoidal-rule Cauchy integral for
+    the coefficient of s**j * p**k. Only monomials with j + 2k <= DEGREE_CAP are
+    kept, since higher ones would amplify rounding by r**-(j+2k). An origin image
+    farther than CERTIFY_TOL from the origin, or values of another shape than the
+    grid's, raise PreconditionUnmet, a non-finite image on the grid ArithmeticError.
     """
     _check_origin_image(map_like(ORIGIN))
     return _readout(_images(map_like, _GRID))
@@ -183,16 +187,15 @@ def _check_origin_image(at_origin: SymPoint) -> None:
 
 
 def _readout(images: SymPoint) -> CandidateMap:
-    """fit_candidate's Cauchy readout of the map's values on the torus grid."""
+    """fit_candidate's Cauchy readout of the map's values on the torus grid: two 2-D
+    products read the n x 2n array of S and P values side by side, and row 2j of the
+    result holds the S coefficients of s**j, row 2j + 1 the P ones."""
     n = TORUS_POINTS
-    values = np.concatenate((images.s, images.p)).reshape(2, n, n)
+    values = np.concatenate((images.s.reshape(n, n), images.p.reshape(n, n)), axis=1)
     if not np.isfinite(values).all():
         raise ArithmeticError("the map has a non-finite value on the torus grid")
-    js, ks = DEGREE_CAP + 1, DEGREE_CAP // 2 + 1
-    S, P = (_ROWS_S[:js] @ values @ _ROWS_P[:ks].T).tolist()
-    # keys in make_candidate's sorted order; (0, 0) is the origin image, checked apart
-    return CandidateMap({(j, k): (S[j][k], P[j][k])
-                         for j in range(js) for k in range(ks) if 0 < j + 2 * k <= DEGREE_CAP})
+    rows = np.dot(np.dot(_READ_S, values).reshape(-1, n), _READ_P).tolist()
+    return CandidateMap({(j, k): (rows[2 * j][k], rows[2 * j + 1][k]) for j, k in _KEYS})
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +250,14 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     Raises NotWeightedHomogeneous when the normalized map does not commute with
     rotations, NotOnRoyalVariety (a PreconditionUnmet) when the origin image is off
     the royal variety, PreconditionUnmet when the map's values on the stacked sample
-    have another shape than the sample, DenominatorDegenerate (before the weighted form is read) when a
-    value on the stacked sample sits on the transport's pole, and ArithmeticError when
-    the map has a non-finite value on the torus grid or the royal sample.
+    have another shape than the sample, DenominatorDegenerate (before the weighted
+    form is read) when a value on the stacked sample sits on the transport's pole,
+    and ArithmeticError when the map has a non-finite value at the origin (checked
+    before the transport), on the torus grid or on the royal sample.
     """
     img = map_like(ORIGIN)
+    if not (cmath.isfinite(img.s) and cmath.isfinite(img.p)):
+        raise ArithmeticError("the map has a non-finite value at the origin")
     transport = transport_to_origin(img, CERTIFY_TOL)
     _check_origin_image(apply_g2(transport, img))
     moved = apply_g2(transport, _images(map_like, _SAMPLE))
@@ -266,8 +272,9 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     alpha, d, C = weighted_form_extract(raw)
     alpha, d, C = rot_inv * alpha, rot_inv * rot_inv * d, rot_inv * rot_inv * C
     distances = _distances(_SAMPLE, SymPoint(rot_inv * moved.s, rot_inv * rot_inv * moved.p))
-    grid_ok, grid_residual = _verdict(distances[:n], "torus grid")
-    royal_ok, royal_residual = _verdict(distances[n:], "royal sample")
+    grid_residual, royal_residual = np.maximum.reduceat(distances, (0, n)).tolist()
+    grid_ok, grid_residual = _verdict(grid_residual, "torus grid")
+    royal_ok, royal_residual = _verdict(royal_residual, "royal sample")
     deviation = max(abs(alpha - 1.0), abs(d - 1.0), abs(C))
     return PipelineReport(
         origin_image=img,

@@ -567,6 +567,29 @@ class TestFitCandidate:
             gs, gp = fitted.terms[(j, k)]
             assert max(abs(gs - cs), abs(gp - cp)) <= 1e-15 / (rs ** j * rp ** k), (j, k)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_readout_equals_the_stacked_product(self, seed):
+        # seeded values, not a map's: every entry of the table has the bits of the
+        # product taken per coordinate, rows_s @ V[i] @ rows_p.T
+        s, p = random_disc_points(rng_from_seed(300 + seed), 2 * proof_lab.TORUS_POINTS ** 2,
+                                  2.0).reshape(2, -1)
+        table = proof_lab._readout(SymPoint(s, p)).terms
+        expected = stacked_readout(s, p)
+        assert list(table) == list(expected)  # make_candidate's sorted order
+        for key, (cs, cp) in expected.items():
+            assert table[key][0] == cs and table[key][1] == cp, key
+
+    def test_fit_candidate_equals_the_stacked_product_on_every_monomial(self):
+        cap = proof_lab.DEGREE_CAP
+        keys = [(j, k) for k in range(cap // 2 + 1) for j in range(cap + 1 - 2 * k)][1:]
+        coef = random_disc_points(rng_from_seed(310), 2 * len(keys), 1.0).tolist()
+        F = make_candidate({key: (coef[2 * i], coef[2 * i + 1]) for i, key in enumerate(keys)})
+        grid = F(proof_lab._GRID)
+        table = fit_candidate(F).terms
+        assert sorted(table) == sorted(keys)
+        for key, (cs, cp) in stacked_readout(grid.s, grid.p).items():
+            assert table[key][0] == cs and table[key][1] == cp, key
+
     def test_dft_rows_match_numpy_fft(self):
         # exponents reduced mod n keep every entry a correctly rounded root of unity;
         # without the reduction the large angles lose about 1e-14
@@ -707,6 +730,22 @@ class TestPipeline:
             normalize_and_extract(lambda q: SymPoint(q.s + origin_image.s, q.p + origin_image.p))
         assert issubclass(NotOnRoyalVariety, PreconditionUnmet)
 
+    @pytest.mark.parametrize("coordinate", ["s", "p"])
+    @pytest.mark.parametrize("bad", [NAN, complex("inf"), complex(0, float("-inf"))],
+                             ids=["nan", "inf", "-infj"])
+    def test_non_finite_origin_image_raises(self, coordinate, bad):
+        # the identity but at the origin; the transport used to take the blame, with
+        # NotOnRoyalVariety "discriminant residual nan" (or inf)
+        image = SymPoint(bad, 0j) if coordinate == "s" else SymPoint(0j, bad)
+
+        def map_like(q):
+            return image if np.ndim(q.s) == 0 else q
+
+        with pytest.raises(ArithmeticError,
+                           match="^the map has a non-finite value at the origin$") as excinfo:
+            normalize_and_extract(map_like)
+        assert excinfo.type is ArithmeticError
+
     def test_origin_image_off_the_disc_is_named(self):
         # (4, 4) = (2*2, 2**2) is on the variety's equation; its |s/2| = 2 is what fails
         with pytest.raises(NotOnRoyalVariety, match=r"^\|s/2\| = 2\.0 is not below 1 \+ "):
@@ -758,6 +797,15 @@ def reference_pipeline(map_like, tol=1e-8):
                    for q, pt in zip((apply_g2(undo, map_like(pt)) for pt in points), points))
 
     return table, residual(reference_royal_points()), residual(grid)
+
+
+def stacked_readout(s, p):
+    """The Cauchy readout of grid values s, p as one stacked (2, n, n) product."""
+    n, cap = proof_lab.TORUS_POINTS, proof_lab.DEGREE_CAP
+    values = np.stack((np.reshape(s, (n, n)), np.reshape(p, (n, n))))
+    S, P = (proof_lab._ROWS_S[:cap + 1] @ values @ proof_lab._ROWS_P[:cap // 2 + 1].T).tolist()
+    return {(j, k): (S[j][k], P[j][k])
+            for j in range(cap + 1) for k in range(cap // 2 + 1) if 0 < j + 2 * k <= cap}
 
 
 def _seeded_elements(seed, count):
@@ -913,6 +961,41 @@ class TestArrayPipeline:
             normalize_and_extract(map_like)
         assert excinfo.type is ArithmeticError
 
+    def test_residuals_split_between_grid_and_royal_sample(self, monkeypatch):
+        # the identity moves nothing; the last grid distance and the first royal one are
+        # set, and each part reports its own, exactly. (A map that moved one grid value
+        # by 1e-3 would change the read coefficients by ~1e-5 and fail the weighted form.)
+        n = proof_lab.TORUS_POINTS ** 2
+        distances = proof_lab._distances
+
+        def moved(pts, img):
+            d = distances(pts, img)
+            d[n - 1], d[n] = 1e-3, 1e-5
+            return d
+
+        assert normalize_and_extract(lambda q: q).grid_residual == 0.0
+        monkeypatch.setattr(proof_lab, "_distances", moved)
+        report = normalize_and_extract(lambda q: q)
+        assert (report.grid_residual, report.royal_residual) == (1e-3, 1e-5)
+        assert not report.royal_ok and not report.identity_certified
+
+    @pytest.mark.parametrize("indices,sample", [
+        ((-1,), "torus grid"), ((0,), "royal sample"), ((-1, 0), "torus grid"),
+    ], ids=["last_grid", "first_royal", "both"])
+    def test_non_finite_distance_names_its_part(self, monkeypatch, indices, sample):
+        # indices count from the royal sample's start; the grid residual is judged first
+        n = proof_lab.TORUS_POINTS ** 2
+        distances = proof_lab._distances
+
+        def moved(pts, img):
+            d = distances(pts, img)
+            d[[n + i for i in indices]] = math.nan
+            return d
+
+        monkeypatch.setattr(proof_lab, "_distances", moved)
+        with pytest.raises(ArithmeticError, match=f"non-finite value on the {sample}$"):
+            normalize_and_extract(lambda q: q)
+
     def test_fixed_inputs_are_built_once(self, monkeypatch):
         # the torus grid, DFT rows and royal sample are module constants built at import:
         # no generator, FFT, exp, sin/cos or grid layout runs in a certify call
@@ -941,6 +1024,14 @@ class TestArrayPipeline:
         for a, b in zip(arrays(cached), arrays(fresh), strict=True):
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable
+
+    def test_read_rows_are_views_of_the_dft_rows(self):
+        # sliced once at import: the rows _readout reads, read-only like the rows
+        cap = proof_lab.DEGREE_CAP
+        for view, rows, count in ((proof_lab._READ_S, proof_lab._ROWS_S, cap + 1),
+                                  (proof_lab._READ_P.T, proof_lab._ROWS_P, cap // 2 + 1)):
+            assert np.shares_memory(view, rows) and not view.flags.writeable
+            assert view.tobytes() == rows[:count].tobytes()
 
     def test_grid_and_royal_parts_are_views_of_the_sample(self):
         # read-only like the sample itself (test_fixed_inputs_match_fresh_builds)
