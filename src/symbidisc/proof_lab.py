@@ -189,7 +189,8 @@ def _check_origin_image(at_origin: SymPoint) -> None:
 def _readout(images: SymPoint) -> CandidateMap:
     """fit_candidate's Cauchy readout of the map's values on the torus grid: two 2-D
     products read the n x 2n array of S and P values side by side, and row 2j of the
-    result holds the S coefficients of s**j, row 2j + 1 the P ones."""
+    result holds the S coefficients of s**j, row 2j + 1 the P ones. That these are the
+    stacked (2, n, n) product's bits was checked on one BLAS build; BLAS does not promise it."""
     n = TORUS_POINTS
     values = np.concatenate((images.s.reshape(n, n), images.p.reshape(n, n)), axis=1)
     if not np.isfinite(values).all():

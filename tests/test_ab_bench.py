@@ -1,7 +1,9 @@
-"""tools/ab_bench.py's summary of paired benchmark runs, on synthetic run.py output."""
+"""tools/ab_bench.py's summary of paired benchmark runs, on synthetic run.py output,
+and its unpacking of a parent revision."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -63,6 +65,26 @@ def test_takes_several_workloads_once_each_in_order():
     args = ab_bench.parse_args(["--workload", "cli", "geometry", "cli", "--pairs", "3"], WORKLOADS)
     assert args.workload == ["cli", "geometry"]
     assert (args.pairs, args.first_seed, args.rev) == (3, 901, "HEAD")
+
+
+def test_unpack_names_the_parent_by_its_commit(tmp_path, monkeypatch):
+    # a throwaway repository with one commit: HEAD unpacks, and is named by its hash
+    repo, into = tmp_path / "repo", tmp_path / "into"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "kept.txt").write_text("kept\n")
+    (repo / "left.txt").write_text("left\n")
+    into.mkdir()
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    for command in (["init", "-q"], ["add", "."], ["commit", "-q", "-m", "one"]):
+        subprocess.run(git + command, check=True)
+    head = subprocess.run(git + ["rev-parse", "--short", "HEAD"], check=True,
+                          capture_output=True, text=True).stdout.strip()
+    monkeypatch.setattr(ab_bench, "ROOT", repo)
+    assert ab_bench.unpack("HEAD", into, "src") == head
+    assert (into / "src" / "kept.txt").read_text() == "kept\n"
+    assert not (into / "left.txt").exists()
+    with pytest.raises(subprocess.CalledProcessError):
+        ab_bench.unpack("no-such-rev", into)
 
 
 def test_one_workload_is_a_list_of_one():

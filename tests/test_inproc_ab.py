@@ -74,9 +74,6 @@ def test_certify_maps_follow_perfbench():
     assert not reports[2].royal_ok
 
 
-def test_rounds_must_be_positive(capsys):
-    with pytest.raises(SystemExit):
-        inproc_ab.parse_args(["--rounds", "0"])
-    assert "--rounds must be at least 1" in capsys.readouterr().err
-    args = inproc_ab.parse_args([])
-    assert (args.rev, args.seed, args.rounds) == ("HEAD", 11, 60)
+def test_rev_defaults_to_head():
+    assert inproc_ab.parse_args([]).rev == "HEAD"
+    assert inproc_ab.parse_args(["--rev", "abc123"]).rev == "abc123"

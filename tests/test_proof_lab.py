@@ -570,7 +570,8 @@ class TestFitCandidate:
     @pytest.mark.parametrize("seed", range(4))
     def test_readout_equals_the_stacked_product(self, seed):
         # seeded values, not a map's: every entry of the table has the bits of the
-        # product taken per coordinate, rows_s @ V[i] @ rows_p.T
+        # product taken per coordinate, rows_s @ V[i] @ rows_p.T (an assumption
+        # about BLAS that stacked_readout's docstring states)
         s, p = random_disc_points(rng_from_seed(300 + seed), 2 * proof_lab.TORUS_POINTS ** 2,
                                   2.0).reshape(2, -1)
         table = proof_lab._readout(SymPoint(s, p)).terms
@@ -800,7 +801,12 @@ def reference_pipeline(map_like, tol=1e-8):
 
 
 def stacked_readout(s, p):
-    """The Cauchy readout of grid values s, p as one stacked (2, n, n) product."""
+    """The Cauchy readout of grid values s, p as one stacked (2, n, n) product.
+
+    The tests comparing _readout with it by `==` assume that BLAS sums each entry of
+    a (5, 16) x (16, 32) product in the same order as of two (5, 16) x (16, 16) ones.
+    numpy does not promise that (it held with OpenBLAS 0.3.31 under numpy 2.4.6), so
+    a failure of those tests on another BLAS build need not be a regression."""
     n, cap = proof_lab.TORUS_POINTS, proof_lab.DEGREE_CAP
     values = np.stack((np.reshape(s, (n, n)), np.reshape(p, (n, n))))
     S, P = (proof_lab._ROWS_S[:cap + 1] @ values @ proof_lab._ROWS_P[:cap // 2 + 1].T).tolist()

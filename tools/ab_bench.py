@@ -5,7 +5,8 @@ Usage, from anywhere inside a git checkout of symbidisc:
     python3 tools/ab_bench.py --workload geometry [certify cli] --pairs 10 --first-seed 901 [--rev HEAD]
 
 The parent revision is unpacked with `git archive` into a temporary directory,
-which is removed at the end, also after a failure. For each workload named, in
+which is removed at the end, also after a failure, and named by its short commit
+hash in the output. For each workload named, in
 turn, and each seed, `perfbench/run.py` runs once in the parent and once in the
 working tree, each with its own copy of the benchmark, for BENCHMARK.json's
 run_seconds; the parent runs first for even-numbered pairs and second for odd ones,
@@ -171,6 +172,17 @@ def record(workload: str, args: argparse.Namespace, seconds: int, rows: list[Row
                         for row in rows}}
 
 
+def unpack(rev: str, into: Path, *paths: str) -> str:
+    """Extract `paths` of git revision rev (the whole tree if none) into `into` with
+    `git archive`, and return rev's short commit hash, the name a record keeps."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", "--short", f"{rev}^{{commit}}"],
+                            cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit, *paths], cwd=ROOT, check=True,
+                             stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return commit
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: int) -> str:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -210,9 +222,7 @@ def main(argv=None) -> int:
     pairs = {workload: [] for workload in args.workload}
     try:
         parent.mkdir()
-        archive = subprocess.run(["git", "archive", args.rev], cwd=ROOT, check=True,
-                                 stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent)], input=archive, check=True)
+        args.rev = unpack(args.rev, parent)
         for workload in args.workload:
             for i in range(args.pairs):
                 seed = args.first_seed + i

@@ -2,12 +2,12 @@
 
 Usage, from anywhere inside a git checkout of symbidisc:
 
-    python3 tools/inproc_ab.py [--rev HEAD] [--seed 11] [--rounds 60]
+    python3 tools/inproc_ab.py [--rev HEAD]
 
-`src/symbidisc` of the parent revision is unpacked with `git archive` into a
-temporary directory, which is removed at the end, as the package
+`src/symbidisc` of the parent revision is unpacked with `git archive` (ab_bench's
+`unpack`) into a temporary directory, which is removed at the end, as the package
 `symbidisc_parent`; every import inside `src/` is relative, so it loads beside the
-working tree's `symbidisc` in the same interpreter. perfbench's `build_inputs(seed)`
+working tree's `symbidisc` in the same interpreter. perfbench's `build_inputs(SEED)`
 draws the certify section's seeded elements and injected C values, and each side
 rebuilds from them, with its own `lift`, `make_moebius` and `apply_g2`, the maps
 perfbench certifies: each element as a G2Automorphism and as a black box, and each
@@ -15,13 +15,14 @@ injected shear.
 
 The script first checks that both sides give the same report for every map, by
 `float.hex` of every field (or the same exception type and message), and stops
-with exit 1 if one differs. It then runs `rounds` ABBA rounds: in each, one pass of
+with exit 1 if one differs. It then runs ROUNDS ABBA rounds: in each, one pass of
 `normalize_and_extract` over all the maps on each side, then each side again in the
 reverse order, every pass timed with `time.thread_time` (CPU time of this thread,
 unpaced, so another process on the machine slows neither side's clock). The round
 ratio is the parent's time over the change's, above 1 when the change is faster.
 It prints each side's µs per call, the median and quartiles of the round ratios and
-the rounds the change won, then the same as one JSON line.
+the rounds the change won, then the same as one JSON line, which names the parent
+by its short commit hash.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ import argparse
 import dataclasses
 import gc
 import importlib
+import importlib.util
 import json
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -40,14 +41,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PARENT_PACKAGE = "symbidisc_parent"
+SEED = 11  # perfbench's build_inputs seed: 440 certify maps
+ROUNDS = 60
+
+_spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+ab_bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_bench)
 
 
-def unpack_parent(rev: str, into: Path) -> None:
-    """Extract src/symbidisc of rev into `into` as the package PARENT_PACKAGE."""
-    archive = subprocess.run(["git", "archive", rev, "src/symbidisc"], cwd=ROOT, check=True,
-                             stdout=subprocess.PIPE).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+def unpack_parent(rev: str, into: Path) -> str:
+    """Extract src/symbidisc of rev into `into` as the package PARENT_PACKAGE, and
+    return rev's short commit hash."""
+    commit = ab_bench.unpack(rev, into, "src/symbidisc")
     (into / "src" / "symbidisc").rename(into / PARENT_PACKAGE)
+    return commit
 
 
 def certify_maps(pkg, elements: list, injected: list) -> list:
@@ -124,17 +131,12 @@ def format_summary(summary: dict) -> str:
 def parse_args(argv) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", default="HEAD", help="the parent revision (default HEAD)")
-    parser.add_argument("--seed", type=int, default=11, help="perfbench's build_inputs seed")
-    parser.add_argument("--rounds", type=int, default=60)
-    args = parser.parse_args(argv)
-    if args.rounds < 1:
-        parser.error("--rounds must be at least 1")
-    return args
+    return parser.parse_args(argv)
 
 
-def compare(args: argparse.Namespace, parent_pkg, change_pkg) -> int:
-    """Check both packages' reports on the seed's maps, then time them in ABBA rounds."""
-    inputs = importlib.import_module("workload_inputs").build_inputs(args.seed)
+def compare(rev: str, parent_pkg, change_pkg) -> int:
+    """Check both packages' reports on SEED's maps, then time them in ABBA rounds."""
+    inputs = importlib.import_module("workload_inputs").build_inputs(SEED)
     elements = [(H.h.tau, H.h.a) for H in inputs.genuine]
     injected = [((H.h.tau, H.h.a), C) for H, C in inputs.injected]
     sides = {name: (pkg.normalize_and_extract, certify_maps(pkg, elements, injected))
@@ -142,13 +144,13 @@ def compare(args: argparse.Namespace, parent_pkg, change_pkg) -> int:
 
     (parent, parent_maps), (change, change_maps) = sides.values()
     differ = sum(outcome(parent, p) != outcome(change, c) for p, c in zip(parent_maps, change_maps))
-    print(f"rev {args.rev}, seed {args.seed}: {len(change_maps)} maps, "
+    print(f"rev {rev}, seed {SEED}: {len(change_maps)} maps, "
           f"{differ} reports differ by float.hex")
     if differ:
         return 1
 
     times = {name: [] for name in sides}
-    for i in range(args.rounds):
+    for i in range(ROUNDS):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         spent = dict.fromkeys(sides, 0.0)
         for name in order + order[::-1]:
@@ -157,16 +159,16 @@ def compare(args: argparse.Namespace, parent_pkg, change_pkg) -> int:
             times[name].append(spent[name])
     summary = summarize(times["parent"], times["change"], 2 * len(change_maps))
     print(format_summary(summary))
-    print(json.dumps({"rev": args.rev, "seed": args.seed, **summary}))
+    print(json.dumps({"rev": rev, "seed": SEED, **summary}))
     return 0
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="inproc_ab_") as tmp:
-        unpack_parent(args.rev, Path(tmp))
+        rev = unpack_parent(args.rev, Path(tmp))
         sys.path[:0] = [tmp, str(ROOT / "src"), str(ROOT / "perfbench")]
-        return compare(args, *map(importlib.import_module, (PARENT_PACKAGE, "symbidisc")))
+        return compare(rev, *map(importlib.import_module, (PARENT_PACKAGE, "symbidisc")))
 
 
 if __name__ == "__main__":
