@@ -5,24 +5,24 @@ lifted disc automorphism are scalar arithmetic on a Taylor table and live in
 candidates, whose names this module re-exports. Step 4: fixing the royal variety
 pointwise forces C = 0 in the weighted form (alpha*s, d*p + C*s**2).
 
-This module adds the array half: a pipeline that drives any given map through
-steps 1-4 and reports how far it is from the identity. Steps 1-3 read a map
-through its Taylor coefficients at the origin, which the pipeline computes in one
-way for every map: the trapezoidal-rule Cauchy integral over a torus inside the
-domain, i.e. the rows of the 16-point DFT that are read, applied to the map's
-values on a grid of that torus. For a map analytic on the domain this converges
-geometrically in the grid size (Bornemann, Found. Comput. Math. 11, 2011; Trefethen
-& Weideman, SIAM Rev. 56, 2014), and on a polynomial of low enough degree it is
-exact up to rounding. Step 4 reads the map itself on a seeded royal sample, so a
-term above the truncation degree cannot hide from it. Every map it takes works as
+This module adds the array half: a pipeline that drives any given map through steps
+1-4 and reports how far it is from the identity. Steps 1-3 read a map through its
+Taylor coefficients at the origin, which the pipeline computes in one way for every
+map: the trapezoidal-rule Cauchy integral over a torus inside the domain, i.e. a
+fixed weighted sum of the map's values on a grid of that torus, the weights for all
+coefficients read forming one matrix. For a map analytic on the domain this
+converges geometrically in the grid size (Bornemann, Found. Comput. Math. 11, 2011;
+Trefethen & Weideman, SIAM Rev. 56, 2014), and on a polynomial of low enough degree
+it is exact up to rounding. Step 4 reads the map itself on a seeded royal sample, so
+a term above the truncation degree cannot hide from it. Every map it takes works as
 a numpy ufunc does: it gets one SymPoint whose coordinates are complex scalars or
 complex128 arrays and returns a SymPoint of the same shape (wrap a scalar-only
 callable with np.vectorize; another shape raises PreconditionUnmet), so the torus
 grid and the royal sample, stacked, go through the map in one call. These fixed
 inputs are built once, when this module is imported: the stacked sample, views of
-its grid and royal parts, and the DFT rows, all read-only. Orbit sampling supplies
-the evidence-level companion: origin orbits stay on the royal variety, non-royal
-orbits stay off it.
+its grid and royal parts, and the Cauchy-weight matrix, all read-only. Orbit
+sampling supplies the evidence-level companion: origin orbits stay on the royal
+variety, non-royal orbits stay off it.
 
 Everything here is seeded and deterministic; experiment results are pinned by
 (seed, count) alone.
@@ -120,15 +120,20 @@ def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
     return list(map(tuple.__new__, itertools.repeat(SymPoint), zip(S.tolist(), P.tolist())))
 
 
+_KEYS = [(j, k) for j in range(DEGREE_CAP + 1) for k in range(DEGREE_CAP // 2 + 1)
+         if 0 < j + 2 * k <= DEGREE_CAP]  # sorted; (0, 0), the origin image, is checked apart
+
+
 def _certify_inputs() -> tuple:
-    """Certify's fixed inputs (sample, grid, royal, rows_s, rows_p), read-only.
+    """Certify's fixed inputs (sample, grid, royal, readout), read-only.
 
     sample stacks the torus grid, whose entry j*n + k has angles 2*pi*(j, k)/n
     (n = TORUS_POINTS), and the seeded royal sample (2*lam, lam**2), |lam| < 0.9, so
-    that one map call reads both; grid and royal are views of its two parts. rows_s
-    and rows_p are the n-point DFT matrix with row j divided by n * r**j, for r_s and
-    r_p. The exponent j*m is reduced mod n before scaling by 2*pi/n, so each entry is
-    a root of unity rounded once, not the exp of a large rounded angle.
+    that one map call reads both; grid and royal are views of its two parts. readout
+    holds the Cauchy weights: its row for _KEYS[i] = (j, k) is the outer product of
+    rows j and k of the n-point DFT matrix, divided by n * r_s**j and n * r_p**k, laid
+    out as the grid is. The exponent j*m is reduced mod n before scaling by 2*pi/n, so
+    each DFT entry is a root of unity rounded once, not the exp of a large rounded angle.
     """
     n = TORUS_POINTS
     rs, rp = TORUS_RADII
@@ -138,18 +143,15 @@ def _certify_inputs() -> tuple:
     s = np.concatenate((np.repeat(rs * circle, n), 2.0 * lam))
     p = np.concatenate((np.tile(rp * circle, n), lam * lam))
     dft = np.exp(-2j * math.pi * (np.outer(m, m) % n) / n)
-    rows = [dft / (n * r ** m[:, None]) for r in TORUS_RADII]
-    for array in (s, p, *rows):
+    rows_s, rows_p = (dft / (n * r ** m[:, None]) for r in TORUS_RADII)
+    readout = np.array([np.outer(rows_s[j], rows_p[k]).ravel() for j, k in _KEYS])
+    for array in (s, p, readout):
         array.setflags(write=False)  # so that no map can write into them
     g = n * n
-    return SymPoint(s, p), SymPoint(s[:g], p[:g]), SymPoint(s[g:], p[g:]), *rows
+    return SymPoint(s, p), SymPoint(s[:g], p[:g]), SymPoint(s[g:], p[g:]), readout
 
 
-_SAMPLE, _GRID, _ROYAL, _ROWS_S, _ROWS_P = _certify_inputs()
-# _readout's rows, read-only views, and its keys in make_candidate's sorted order
-_READ_S, _READ_P = _ROWS_S[:DEGREE_CAP + 1], _ROWS_P[:DEGREE_CAP // 2 + 1].T
-_KEYS = [(j, k) for j in range(len(_READ_S)) for k in range(_READ_P.shape[1])
-         if 0 < j + 2 * k <= DEGREE_CAP]  # (0, 0) is the origin image, checked apart
+_SAMPLE, _GRID, _ROYAL, _READOUT = _certify_inputs()
 
 
 def _images(map_like: Callable[[SymPoint], SymPoint], pts: SymPoint) -> SymPoint:
@@ -166,14 +168,13 @@ def fit_candidate(map_like: Callable[[SymPoint], SymPoint]) -> CandidateMap:
     """Taylor coefficients of an origin-fixing map, truncated at weighted degree DEGREE_CAP.
 
     Calls the map once at the origin and once on the whole TORUS_POINTS x TORUS_POINTS
-    grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), the grid part of the
-    pipeline's read-only fixed inputs, and applies to the values, in two 2-D products,
-    the fixed rows of the 16-point DFT that are read: entry (j, k), divided by the
-    grid size and by r_s**j * r_p**k, is the trapezoidal-rule Cauchy integral for
-    the coefficient of s**j * p**k. Only monomials with j + 2k <= DEGREE_CAP are
-    kept, since higher ones would amplify rounding by r**-(j+2k). An origin image
-    farther than CERTIFY_TOL from the origin, or values of another shape than the
-    grid's, raise PreconditionUnmet, a non-finite image on the grid ArithmeticError.
+    grid of the torus |s| = r_s, |p| = r_p (TORUS_RADII), part of the pipeline's
+    read-only fixed inputs, and reads the coefficient of s**j * p**k as the weighted sum
+    of the grid values that the trapezoidal rule gives its Cauchy integral, one matrix
+    product per coordinate. Only monomials with j + 2k <= DEGREE_CAP are kept, since
+    higher ones would amplify rounding by r**-(j+2k). An origin image farther than
+    CERTIFY_TOL from the origin, or values of another shape than the grid's, raise
+    PreconditionUnmet, a non-finite image on the grid ArithmeticError.
     """
     _check_origin_image(map_like(ORIGIN))
     return _readout(_images(map_like, _GRID))
@@ -187,16 +188,12 @@ def _check_origin_image(at_origin: SymPoint) -> None:
 
 
 def _readout(images: SymPoint) -> CandidateMap:
-    """fit_candidate's Cauchy readout of the map's values on the torus grid: two 2-D
-    products read the n x 2n array of S and P values side by side, and row 2j of the
-    result holds the S coefficients of s**j, row 2j + 1 the P ones. That these are the
-    stacked (2, n, n) product's bits was checked on one BLAS build; BLAS does not promise it."""
-    n = TORUS_POINTS
-    values = np.concatenate((images.s.reshape(n, n), images.p.reshape(n, n)), axis=1)
-    if not np.isfinite(values).all():
+    """fit_candidate's Cauchy readout of the torus grid's values: _READOUT times each coordinate."""
+    s, p = images
+    if not (np.isfinite(s).all() and np.isfinite(p).all()):
         raise ArithmeticError("the map has a non-finite value on the torus grid")
-    rows = np.dot(np.dot(_READ_S, values).reshape(-1, n), _READ_P).tolist()
-    return CandidateMap({(j, k): (rows[2 * j][k], rows[2 * j + 1][k]) for j, k in _KEYS})
+    cs, cp = np.dot(_READOUT, s).tolist(), np.dot(_READOUT, p).tolist()
+    return CandidateMap(dict(zip(_KEYS, zip(cs, cp))))
 
 
 # ---------------------------------------------------------------------------

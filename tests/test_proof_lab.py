@@ -568,37 +568,45 @@ class TestFitCandidate:
             assert max(abs(gs - cs), abs(gp - cp)) <= 1e-15 / (rs ** j * rp ** k), (j, k)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_readout_equals_the_stacked_product(self, seed):
-        # seeded values, not a map's: every entry of the table has the bits of the
-        # product taken per coordinate, rows_s @ V[i] @ rows_p.T (an assumption
-        # about BLAS that stacked_readout's docstring states)
-        s, p = random_disc_points(rng_from_seed(300 + seed), 2 * proof_lab.TORUS_POINTS ** 2,
-                                  2.0).reshape(2, -1)
+    def test_readout_matches_an_mpmath_oracle(self, seed):
+        # seeded values, not a map's: every coefficient is the weighted sum of the
+        # values with its row of _READOUT, here summed in 50 digits. BLAS may sum in any
+        # order, so the bound is the a-priori one for a complex dot product of length
+        # n, sqrt(2) * gamma(n + 2) * sum |w_i| |v_i| with gamma(k) = k*u / (1 - k*u)
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 3.1 and 3.6)
+        mpmath = pytest.importorskip("mpmath")
+        n = proof_lab.TORUS_POINTS ** 2
+        s, p = random_disc_points(rng_from_seed(300 + seed), 2 * n, 2.0).reshape(2, -1)
         table = proof_lab._readout(SymPoint(s, p)).terms
-        expected = stacked_readout(s, p)
-        assert list(table) == list(expected)  # make_candidate's sorted order
-        for key, (cs, cp) in expected.items():
-            assert table[key][0] == cs and table[key][1] == cp, key
-
-    def test_fit_candidate_equals_the_stacked_product_on_every_monomial(self):
-        cap = proof_lab.DEGREE_CAP
-        keys = [(j, k) for k in range(cap // 2 + 1) for j in range(cap + 1 - 2 * k)][1:]
-        coef = random_disc_points(rng_from_seed(310), 2 * len(keys), 1.0).tolist()
-        F = make_candidate({key: (coef[2 * i], coef[2 * i + 1]) for i, key in enumerate(keys)})
-        grid = F(proof_lab._GRID)
-        table = fit_candidate(F).terms
-        assert sorted(table) == sorted(keys)
-        for key, (cs, cp) in stacked_readout(grid.s, grid.p).items():
-            assert table[key][0] == cs and table[key][1] == cp, key
+        assert list(table) == proof_lab._KEYS  # make_candidate's sorted order
+        u = 2.0 ** -53
+        gamma = (n + 2) * u / (1 - (n + 2) * u)
+        with mpmath.workdps(50):
+            for row, key in zip(proof_lab._READOUT.tolist(), proof_lab._KEYS, strict=True):
+                weights = [mpmath.mpc(w.real, w.imag) for w in row]
+                for got, values in zip(table[key], (s.tolist(), p.tolist())):
+                    values = [mpmath.mpc(v.real, v.imag) for v in values]
+                    exact = mpmath.fsum(w * v for w, v in zip(weights, values))
+                    scale = mpmath.fsum(abs(w) * abs(v) for w, v in zip(weights, values))
+                    error = abs(mpmath.mpc(got.real, got.imag) - exact)
+                    assert error <= mpmath.sqrt(2) * gamma * scale, key
 
     def test_dft_rows_match_numpy_fft(self):
-        # exponents reduced mod n keep every entry a correctly rounded root of unity;
-        # without the reduction the large angles lose about 1e-14
+        # exponents reduced mod n keep every DFT entry within eps = 2e-15 of numpy's
+        # (without the reduction the large angles lose about 1e-14). A weight times
+        # n**2 * r_s**j * r_p**k, a power of two, is the rounded product of entries j
+        # and k: within 2 * eps * (1 + eps) of the product of numpy's, plus the
+        # product's own rounding, at most sqrt(5) * u * (1 + eps)**2 (Brent, Percival
+        # & Zimmermann, Math. Comp. 76, 2007)
         n = proof_lab.TORUS_POINTS
+        rs, rp = proof_lab.TORUS_RADII
+        eps = 2e-15
+        bound = 2 * eps * (1 + eps) + math.sqrt(5) * 2.0 ** -53 * (1 + eps) ** 2
         dft = np.fft.fft(np.eye(n))
-        for rows, r in zip(proof_lab._certify_inputs()[3:], proof_lab.TORUS_RADII):
-            scale = n * r ** np.arange(n)[:, None]
-            assert np.abs(rows * scale - dft).max() <= 2e-15
+        readout = proof_lab._certify_inputs()[3]
+        for row, (j, k) in zip(readout, proof_lab._KEYS, strict=True):
+            scale = n * n * rs ** j * rp ** k
+            assert np.abs(row * scale - np.outer(dft[j], dft[k]).ravel()).max() <= bound
 
 
 class TestPipeline:
@@ -800,20 +808,6 @@ def reference_pipeline(map_like, tol=1e-8):
     return table, residual(reference_royal_points()), residual(grid)
 
 
-def stacked_readout(s, p):
-    """The Cauchy readout of grid values s, p as one stacked (2, n, n) product.
-
-    The tests comparing _readout with it by `==` assume that BLAS sums each entry of
-    a (5, 16) x (16, 32) product in the same order as of two (5, 16) x (16, 16) ones.
-    numpy does not promise that (it held with OpenBLAS 0.3.31 under numpy 2.4.6), so
-    a failure of those tests on another BLAS build need not be a regression."""
-    n, cap = proof_lab.TORUS_POINTS, proof_lab.DEGREE_CAP
-    values = np.stack((np.reshape(s, (n, n)), np.reshape(p, (n, n))))
-    S, P = (proof_lab._ROWS_S[:cap + 1] @ values @ proof_lab._ROWS_P[:cap // 2 + 1].T).tolist()
-    return {(j, k): (S[j][k], P[j][k])
-            for j in range(cap + 1) for k in range(cap // 2 + 1) if 0 < j + 2 * k <= cap}
-
-
 def _seeded_elements(seed, count):
     rng = rng_from_seed(seed)
     return [lift(random_moebius(rng)) for _ in range(count)]
@@ -864,7 +858,7 @@ class TestArrayPipeline:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             loop.append(r * complex(math.cos(theta), math.sin(theta)))
         assert random_disc_points(rng_from_seed(11), 64, 0.9).tolist() == expected == loop
-        _, _, pts, _, _ = proof_lab._certify_inputs()
+        _, _, pts, _ = proof_lab._certify_inputs()
         assert pts.s.tolist() == [2.0 * lam for lam in expected]
         # numpy's complex product may round lam*lam differently in the last bit
         assert max(abs(p - lam * lam) for p, lam in zip(pts.p.tolist(), expected)) <= 4e-16
@@ -1020,28 +1014,32 @@ class TestArrayPipeline:
 
     def test_fixed_inputs_match_fresh_builds(self):
         # the module constants, built at import, against a fresh build
-        def arrays(inputs):  # s and p of the sample, grid and royal parts, then the rows
-            sample, grid, royal, rows_s, rows_p = inputs
-            return [*sample, *grid, *royal, rows_s, rows_p]
+        def arrays(inputs):  # s and p of the sample, grid and royal parts, then the weights
+            sample, grid, royal, readout = inputs
+            return [*sample, *grid, *royal, readout]
 
-        cached = (proof_lab._SAMPLE, proof_lab._GRID, proof_lab._ROYAL,
-                  proof_lab._ROWS_S, proof_lab._ROWS_P)
+        cached = (proof_lab._SAMPLE, proof_lab._GRID, proof_lab._ROYAL, proof_lab._READOUT)
         fresh = proof_lab._certify_inputs()
         for a, b in zip(arrays(cached), arrays(fresh), strict=True):
             assert a.tobytes() == b.tobytes()
             assert not a.flags.writeable
 
-    def test_read_rows_are_views_of_the_dft_rows(self):
-        # sliced once at import: the rows _readout reads, read-only like the rows
-        cap = proof_lab.DEGREE_CAP
-        for view, rows, count in ((proof_lab._READ_S, proof_lab._ROWS_S, cap + 1),
-                                  (proof_lab._READ_P.T, proof_lab._ROWS_P, cap // 2 + 1)):
-            assert np.shares_memory(view, rows) and not view.flags.writeable
-            assert view.tobytes() == rows[:count].tobytes()
+    def test_cauchy_weights_are_read_only_outer_products(self):
+        # row i, for _KEYS[i] = (j, k), is the outer product of DFT rows j and k divided
+        # by n * r**j, laid out as the grid, entry a*n + b, is
+        n = proof_lab.TORUS_POINTS
+        m = np.arange(n)
+        dft = np.exp(-2j * math.pi * (np.outer(m, m) % n) / n)
+        rows_s, rows_p = (dft / (n * r ** m[:, None]) for r in proof_lab.TORUS_RADII)
+        readout = proof_lab._READOUT
+        assert not readout.flags.writeable
+        assert readout.shape == (len(proof_lab._KEYS), n * n)
+        for row, (j, k) in zip(readout, proof_lab._KEYS, strict=True):
+            assert row.tobytes() == np.outer(rows_s[j], rows_p[k]).ravel().tobytes(), (j, k)
 
     def test_grid_and_royal_parts_are_views_of_the_sample(self):
         # read-only like the sample itself (test_fixed_inputs_match_fresh_builds)
-        sample, grid, royal, _, _ = proof_lab._certify_inputs()
+        sample, grid, royal, _ = proof_lab._certify_inputs()
         n = proof_lab.TORUS_POINTS ** 2
         assert grid.s.shape == (n,) and royal.s.shape == (proof_lab.ROYAL_SAMPLES,)
         for part, at in ((grid, slice(None, n)), (royal, slice(n, None))):
