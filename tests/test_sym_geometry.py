@@ -7,6 +7,7 @@ from hypothesis import example, given
 
 from symbidisc import (
     NotOnRoyalVariety,
+    ParameterOutOfDomain,
     SymPoint,
     desymmetrize,
     in_g2,
@@ -162,6 +163,20 @@ class TestMembership:
     def test_classify_rejects_nan(self):
         with pytest.raises(ArithmeticError):
             _classify(math.nan, 1e-9)
+
+    def test_negative_tolerance_raises(self):
+        # roots 0.5 and 1.5, margin -0.5: a tol of -1 would pass the interior test
+        with pytest.raises(ParameterOutOfDomain):
+            in_g2(SymPoint(2, 0.75), -1.0)
+        with pytest.raises(ArithmeticError):  # a NaN tol, as before
+            in_g2(SymPoint(2, 0.75), math.nan)
+
+    def test_tiny_negative_tolerance_raises_just_outside(self):
+        # roots 0 and 1 + 1e-13, margin about -1e-13, above -1e-12
+        pt = symmetrize(0.0, 1.0 + 1e-13)
+        assert in_g2(pt).region == "boundary" and -1e-12 < in_g2(pt).margin < 0
+        with pytest.raises(ParameterOutOfDomain):
+            in_g2(pt, -1e-12)
 
     def test_g2_origin(self):
         verdict = in_g2(SymPoint(0, 0))
