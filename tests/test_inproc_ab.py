@@ -77,3 +77,34 @@ def test_certify_maps_follow_perfbench():
 def test_rev_defaults_to_head():
     assert inproc_ab.parse_args([]).rev == "HEAD"
     assert inproc_ab.parse_args(["--rev", "abc123"]).rev == "abc123"
+
+
+def test_drift_of_synthetic_reports():
+    # two maps: one report moved in alpha, origin_image and grid_residual, and one
+    # report that became an exception; a changed message alone is no changed verdict
+    report = symbidisc.normalize_and_extract(symbidisc.lift(symbidisc.make_moebius(1j, 0.3)))
+    moved = dataclasses.replace(
+        report, alpha=report.alpha + 3e-15j, grid_residual=report.grid_residual + 1e-15,
+        origin_image=symbidisc.SymPoint(report.origin_image.s, report.origin_image.p - 2e-16))
+    parent = [report, report, ArithmeticError("at 1")]
+    change = [moved, ValueError("no report"), ArithmeticError("at 2")]
+    summary = inproc_ab.drift(parent, change)
+    assert summary["verdicts_changed"] == 1
+    largest = summary["largest_difference"]
+    assert set(largest) == {"origin_image", "transport_param", "rotation_divided", "alpha", "d",
+                            "c", "royal_residual", "grid_residual", "identity_deviation"}
+    assert largest["alpha"] == pytest.approx(3e-15)
+    assert largest["grid_residual"] == pytest.approx(1e-15)
+    assert largest["origin_image"] == pytest.approx(2e-16)
+    assert largest["d"] == largest["royal_residual"] == 0.0
+    line = inproc_ab.format_drift(summary)
+    assert line.startswith("1 maps changed verdict or exception type") and "alpha 3e-15" in line
+
+
+def test_drift_counts_a_flipped_verdict():
+    report = symbidisc.normalize_and_extract(symbidisc.lift(symbidisc.make_moebius(1j, 0.3)))
+    flipped = dataclasses.replace(report, identity_certified=False)
+    summary = inproc_ab.drift([report], [flipped])
+    assert summary["verdicts_changed"] == 1
+    assert set(summary["largest_difference"].values()) == {0.0}
+    assert "no map gave a report" in inproc_ab.format_drift(inproc_ab.drift([report], [KeyError()]))

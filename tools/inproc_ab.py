@@ -14,15 +14,18 @@ perfbench certifies: each element as a G2Automorphism and as a black box, and ea
 injected shear.
 
 The script first checks that both sides give the same report for every map, by
-`float.hex` of every field (or the same exception type and message), and stops
-with exit 1 if one differs. It then runs ROUNDS ABBA rounds: in each, one pass of
-`normalize_and_extract` over all the maps on each side, then each side again in the
-reverse order, every pass timed with `time.thread_time` (CPU time of this thread,
-unpaced, so another process on the machine slows neither side's clock). The round
-ratio is the parent's time over the change's, above 1 when the change is faster.
-It prints each side's µs per call, the median and quartiles of the round ratios and
-the rounds the change won, then the same as one JSON line, which names the parent
-by its short commit hash.
+`float.hex` of every field (or the same exception type and message). If one differs,
+it does not time: it prints how far the reports moved, the number of maps whose
+verdict (identity_certified, royal_ok) or exception type changed and, for each
+numeric report field, the largest absolute difference, and exits 1. So only a change
+that keeps every report bit for bit is timed. The script then runs ROUNDS ABBA
+rounds: in each, one pass of `normalize_and_extract` over all the maps on each side,
+then each side again in the reverse order, every pass timed with `time.thread_time`
+(CPU time of this thread, unpaced, so another process on the machine slows neither
+side's clock). The round ratio is the parent's time over the change's, above 1 when
+the change is faster. It prints each side's µs per call, the median and quartiles of
+the round ratios and the rounds the change won, then the same as one JSON line,
+which names the parent by its short commit hash.
 """
 
 from __future__ import annotations
@@ -76,7 +79,10 @@ def certify_maps(pkg, elements: list, injected: list) -> list:
 
 
 def fingerprint(value):
-    """A report, or any part of it, with every float replaced by its float.hex."""
+    """A report, or any part of it, with every float replaced by its float.hex; an
+    exception as its type name and message."""
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
     if dataclasses.is_dataclass(value):
         return {f.name: fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, tuple):
@@ -90,12 +96,48 @@ def fingerprint(value):
     return repr(value)
 
 
-def outcome(certify, map_like):
-    """The fingerprint of certify's report on map_like, or its exception."""
+def result(certify, map_like):
+    """certify's report on map_like, or the exception it raised."""
     try:
-        return fingerprint(certify(map_like))
+        return certify(map_like)
     except Exception as exc:  # the same failure on both sides counts as agreement
-        return type(exc).__name__, str(exc)
+        return exc
+
+
+def outcome(certify, map_like):
+    """The fingerprint of certify's report on map_like, or of its exception."""
+    return fingerprint(result(certify, map_like))
+
+
+def verdict(result) -> tuple:
+    """A report's (identity_certified, royal_ok), or an exception's type name."""
+    if isinstance(result, Exception):
+        return (type(result).__name__,)
+    return result.identity_certified, result.royal_ok
+
+
+def drift(parent: list, change: list) -> dict:
+    """How far the change's results moved from the parent's, map by map: the number of
+    maps whose verdict or exception type changed, and for each numeric report field the
+    largest absolute difference over the maps that gave a report on both sides."""
+    largest = {}
+    for a, b in zip(parent, change, strict=True):
+        if isinstance(a, Exception) or isinstance(b, Exception):
+            continue
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            if not isinstance(x, bool):
+                pairs = zip(x, y) if isinstance(x, tuple) else [(x, y)]
+                largest[field.name] = max(largest.get(field.name, 0.0),
+                                          *(abs(u - v) for u, v in pairs))
+    changed = sum(verdict(a) != verdict(b) for a, b in zip(parent, change))
+    return {"verdicts_changed": changed, "largest_difference": largest}
+
+
+def format_drift(moved: dict) -> str:
+    fields = ", ".join(f"{name} {diff:.3g}" for name, diff in moved["largest_difference"].items())
+    return (f"{moved['verdicts_changed']} maps changed verdict or exception type; "
+            f"largest |change - parent| per field: {fields or 'no map gave a report on both sides'}")
 
 
 def timed_pass(certify, maps: list) -> float:
@@ -143,10 +185,13 @@ def compare(rev: str, parent_pkg, change_pkg) -> int:
              for name, pkg in (("parent", parent_pkg), ("change", change_pkg))}
 
     (parent, parent_maps), (change, change_maps) = sides.values()
-    differ = sum(outcome(parent, p) != outcome(change, c) for p, c in zip(parent_maps, change_maps))
+    before = [result(parent, map_like) for map_like in parent_maps]
+    after = [result(change, map_like) for map_like in change_maps]
+    differ = sum(fingerprint(a) != fingerprint(b) for a, b in zip(before, after))
     print(f"rev {rev}, seed {SEED}: {len(change_maps)} maps, "
           f"{differ} reports differ by float.hex")
     if differ:
+        print(format_drift(drift(before, after)))
         return 1
 
     times = {name: [] for name in sides}
