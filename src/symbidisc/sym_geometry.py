@@ -78,7 +78,7 @@ def desymmetrize(pt: SymPoint) -> RootPair:
 
 
 def _classify(margin: float, tol: float) -> MembershipVerdict:
-    if tol < 0:  # the interior and exterior tests would overlap
+    if tol < 0.0:  # the interior and exterior tests would overlap
         raise ParameterOutOfDomain(f"tolerance {tol} is negative")
     if margin > tol:
         return tuple.__new__(MembershipVerdict, ("interior", margin))
@@ -94,9 +94,8 @@ def in_g2(pt: SymPoint, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 
     A root that overflows to infinity gives ("exterior", -inf), as SymPoint(2e154, 0)
     and SymPoint(0, 1e308) do; CLI membership exits 65 on such a point with an error
-    that names it and its overflowing roots. A NaN margin, as SymPoint(0, 1.7e308j)
-    gives, or a NaN tol raises ArithmeticError, rather than be reported as "boundary";
-    a negative tol raises ParameterOutOfDomain.
+    that names it and its overflowing roots. A NaN margin (SymPoint(0, 1.7e308j)) or tol
+    raises ArithmeticError, not "boundary"; a negative tol raises ParameterOutOfDomain.
     """
     r1, r2 = _roots(pt.s, pt.p)
     m1, m2 = abs(r1), abs(r2)
