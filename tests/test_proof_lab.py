@@ -582,10 +582,10 @@ class TestFitCandidate:
         u = 2.0 ** -53
         gamma = (n + 2) * u / (1 - (n + 2) * u)
         with mpmath.workdps(50):
+            grid = [[mpmath.mpc(v.real, v.imag) for v in values.tolist()] for values in (s, p)]
             for row, key in zip(proof_lab._READOUT.tolist(), proof_lab._KEYS, strict=True):
                 weights = [mpmath.mpc(w.real, w.imag) for w in row]
-                for got, values in zip(table[key], (s.tolist(), p.tolist())):
-                    values = [mpmath.mpc(v.real, v.imag) for v in values]
+                for got, values in zip(table[key], grid, strict=True):
                     exact = mpmath.fsum(w * v for w, v in zip(weights, values))
                     scale = mpmath.fsum(abs(w) * abs(v) for w, v in zip(weights, values))
                     error = abs(mpmath.mpc(got.real, got.imag) - exact)
@@ -997,7 +997,7 @@ class TestArrayPipeline:
             normalize_and_extract(lambda q: q)
 
     def test_fixed_inputs_are_built_once(self, monkeypatch):
-        # the torus grid, DFT rows and royal sample are module constants built at import:
+        # the torus grid, Cauchy weights and royal sample are module constants built at import:
         # no generator, FFT, exp, sin/cos or grid layout runs in a certify call
         maps = [PIPELINE_MAPS[kind][0] for kind in ("black_box", "injected", "halving")]
         before = [normalize_and_extract(map_like) for map_like in maps]
