@@ -38,8 +38,8 @@ NO_GROWTH_THRESHOLD = 1e-12
 # The weighted degree j + 2k at which candidates and extracted Taylor tables stop.
 DEGREE_CAP = 4
 
-# The certify pipeline's one tolerance: for the royal-variety and origin-image tests,
-# the weighted-form readout, the royal check and the identity verdict.
+# The one tolerance of certify (royal-variety and origin-image tests, weighted-form readout,
+# royal check, identity verdict) and of commutator_jacobian's normalized-form test.
 CERTIFY_TOL = 1e-8
 
 
@@ -138,7 +138,7 @@ def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
     t = make_moebius(tau, 0j).tau
     if not all(map(cmath.isfinite, J)):
         raise ArithmeticError(f"origin Jacobian {J} has a non-finite entry")
-    if abs(J.m11 - 1.0) > 1e-8 or abs(J.m21) > 1e-8:
+    if abs(J.m11 - 1.0) > CERTIFY_TOL or abs(J.m21) > CERTIFY_TOL:
         raise NotNormalized(f"origin Jacobian {J} is not of the form [[1, b], [0, d]]")
     det = J.m11 * J.m22 - J.m12 * J.m21
     if abs(det) <= 1e-12:

@@ -18,8 +18,8 @@ from .errors import ParameterOutOfDomain, PoleEncountered
 A_MODULUS_LIMIT = 1.0 - 1e-12
 # |tau| may drift this far from 1 on input; it is renormalized on construction.
 TAU_MODULUS_SLACK = 1e-6
-# Denominators below this are treated as the pole itself.
-POLE_THRESHOLD = 1e-14
+# Denominators below this are the pole itself, here and in g2_group's lifted form.
+DENOM_THRESHOLD = 1e-14
 
 
 class DiscAutomorphism(NamedTuple):
@@ -56,14 +56,14 @@ def _largest(values):
 
 
 def apply_moebius(h: DiscAutomorphism, lam: complex) -> complex:
-    """Evaluate h at lam. Raises PoleEncountered near lam = 1/conj(a).
+    """Evaluate h at lam. Raises PoleEncountered where |1 - conj(a)*lam| < DENOM_THRESHOLD.
 
     A NaN denominator, as a NaN lam gives, raises ArithmeticError.
     """
     den = 1.0 - h.a.conjugate() * lam
     # negated, so that a NaN denominator fails the test
-    if not abs(den) >= POLE_THRESHOLD:
-        if abs(den) < POLE_THRESHOLD:
+    if not abs(den) >= DENOM_THRESHOLD:
+        if abs(den) < DENOM_THRESHOLD:
             raise PoleEncountered(f"lam = {lam} is at the pole of the map")
         raise ArithmeticError(f"denominator {den} at lam = {lam} is not finite")
     return h.tau * (lam - h.a) / den

@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 from .disc_moebius import (
     A_MODULUS_LIMIT,
+    DENOM_THRESHOLD,
     DiscAutomorphism,
     apply_moebius,
     compose,
@@ -26,10 +27,6 @@ from .disc_moebius import (
 )
 from .errors import DenominatorDegenerate, NotOnRoyalVariety
 from .sym_geometry import DEFAULT_TOL, SymPoint, _roots, royal_param, symmetrize
-
-# Below this the rational form's denominator (1 - conj(a)*s + conj(a)**2 * p),
-# which equals the product (1 - conj(a)*root1)(1 - conj(a)*root2), is degenerate.
-DENOM_THRESHOLD = 1e-14
 
 
 class G2Automorphism(NamedTuple):
@@ -72,10 +69,10 @@ def apply_g2(H: G2Automorphism, pt: SymPoint) -> SymPoint:
 def _lift_form(tau, a, s, p):
     """apply_g2's closed form on complex scalars or on complex128 arrays alike.
 
-    Arrays hold one group element or one point per entry and broadcast against each
-    other. Returns (S, P, den); raises DenominatorDegenerate before dividing when
-    any |den| is below DENOM_THRESHOLD. On arrays a NaN entry is skipped, as the
-    scalar form lets it through, so that it cannot hide a degenerate entry.
+    Arrays hold one group element or one point per entry and broadcast against each other.
+    Returns (S, P, den); raises DenominatorDegenerate before dividing when any |den| is
+    below DENOM_THRESHOLD, apply_moebius's floor too. On arrays a NaN entry is skipped,
+    as the scalar form lets it through, so that it cannot hide a degenerate entry.
     """
     ac = a.conjugate()
     den = 1.0 - ac * s + ac * ac * p
@@ -120,7 +117,8 @@ def rotation(tau: complex) -> G2Automorphism:
 
 
 def transport_to_origin(pt: SymPoint, tol: float = DEFAULT_TOL) -> G2Automorphism:
-    """The group element sending a royal point (2a, a^2) to the origin."""
+    """The group element sending a royal point (2a, a^2) to the origin; a negative
+    tol raises ParameterOutOfDomain, through royal_param."""
     a = royal_param(pt, tol)
     if abs(a) >= A_MODULUS_LIMIT:
         raise NotOnRoyalVariety(f"|s/2| = {abs(a)} is not inside the open disc")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 
 from symbidisc import (
+    MembershipVerdict,
     NotOnRoyalVariety,
     ParameterOutOfDomain,
     SymPoint,
@@ -14,9 +15,9 @@ from symbidisc import (
     in_sigma2,
     royal_param,
     symmetrize,
+    transport_to_origin,
 )
 from symbidisc.sampling import random_disc, random_disc_points, random_interior, rng_from_seed
-from symbidisc.sym_geometry import _classify
 
 from helpers import cloud_points, disc_complex, root_cloud, unordered_dist
 
@@ -154,15 +155,17 @@ class TestDesymmetrize:
 
 class TestMembership:
     def test_disc_examples(self):
-        # the disc is classified on the margin 1 - |lam|, as G2 is on its larger root
-        assert _classify(1.0 - abs(0), 1e-9).region == "interior"
-        assert _classify(1.0 - abs(1), 1e-9).region == "boundary"
-        assert _classify(1.0 - abs(1.5j), 1e-9).region == "exterior"
-        assert _classify(1e-9, 1e-9).region == "boundary"
+        # (lam, 0) has the roots lam and 0, so its margin is the disc's 1 - |lam|
+        assert in_g2(SymPoint(0, 0), 1e-9) == ("interior", 1.0)
+        assert in_g2(SymPoint(1, 0), 1e-9) == ("boundary", 0.0)
+        assert in_g2(SymPoint(1.5j, 0), 1e-9) == ("exterior", -0.5)
+        pt = SymPoint(1 - 1e-9, 0)  # a margin equal to the tolerance is on the boundary
+        assert in_g2(pt, in_g2(pt).margin).region == "boundary"
 
     def test_classify_rejects_nan(self):
-        with pytest.raises(ArithmeticError):
-            _classify(math.nan, 1e-9)
+        # s*s - 4p overflows, so the margin is NaN and passes none of the three tests
+        with pytest.raises(ArithmeticError, match="membership margin nan "):
+            in_g2(SymPoint(0, 1.7e308j))
 
     def test_negative_tolerance_raises(self):
         # roots 0.5 and 1.5, margin -0.5: a tol of -1 would pass the interior test
@@ -238,9 +241,10 @@ class TestUnorderedRoots:
         differ = []
         for pt in points:
             rp = desymmetrize(pt)
-            want = _classify(1.0 - max(abs(rp.first), abs(rp.second)), tol)
+            margin = 1.0 - max(abs(rp.first), abs(rp.second))
+            region = "interior" if margin > tol else "exterior" if margin < -tol else "boundary"
             # repr tells -0.0 from 0.0, which == does not
-            if repr(in_g2(pt, tol)) != repr(want):
+            if repr(in_g2(pt, tol)) != repr(MembershipVerdict(region, margin)):
                 differ.append(pt)
         assert differ == []
 
@@ -312,3 +316,21 @@ class TestSigma2:
             a = random_disc(rng)
             got = royal_param(SymPoint(2 * a, a * a))
             assert abs(got * got - a * a) <= 1e-9
+
+
+class TestToleranceRule:
+    """Every tol, of the membership and royal-variety tests alike, rejects a negative."""
+
+    @pytest.mark.parametrize("check,pt", [
+        (in_g2, SymPoint(0, 0)),
+        # residual 0.0 <= tol fails for any tol < 0, so (False, 0.0) would call the
+        # origin non-royal, and royal_param would blame "discriminant residual 0.0"
+        (in_sigma2, SymPoint(0, 0)),
+        (royal_param, SymPoint(1, 0.25)),
+        (transport_to_origin, SymPoint(1, 0.25)),
+    ], ids=["in_g2", "in_sigma2", "royal_param", "transport_to_origin"])
+    def test_negative_tolerance_raises_and_zero_is_exact(self, check, pt):
+        with pytest.raises(ParameterOutOfDomain, match="^tolerance -1e-12 is negative$"):
+            check(pt, -1e-12)
+        # each point is exact, so the exact test agrees with the default tolerance
+        assert check(pt, 0.0) == check(pt)

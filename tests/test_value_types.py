@@ -1,5 +1,5 @@
-"""The value types' contract, and guards that keep dataclasses and the proof lab off
-the import path.
+"""The value types' contract, guards that keep dataclasses and the proof lab off the
+import path, and a guard that keeps each float constant of the package defined once.
 
 The point and group value types are typing.NamedTuples: immutable, without a
 __dict__, and printed as Name(field=value, ...). Error messages embed that repr, so
@@ -288,3 +288,48 @@ def test_proof_lab_guard_sees_only_import_time_statements():
     }.items()}
     assert module_level_proof_lab_importers(trees) == {
         "top", "absolute", "from_package", "class_body", "else_branch"}
+
+
+# ---------------------------------------------------------------------------
+# Guard: a tolerance or threshold value is one module-level constant, not two
+# ---------------------------------------------------------------------------
+
+ARITHMETIC = (ast.Expression, ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop)
+
+
+def float_constants(trees: dict) -> dict:
+    """{value: [module.NAME, ...]} over module-level names bound to float arithmetic."""
+    found = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target = node.targets[0]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                target = node.target
+            else:
+                continue
+            expr = ast.Expression(node.value)
+            if isinstance(target, ast.Name) and all(isinstance(part, ARITHMETIC)
+                                                    for part in ast.walk(expr)):
+                value = eval(compile(expr, module, "eval"), {"__builtins__": {}})
+                if isinstance(value, float):
+                    found.setdefault(value, []).append(f"{module}.{target.id}")
+    return found
+
+
+def test_no_two_float_constants_share_a_value():
+    shared = {value: names for value, names in float_constants(parsed_modules()).items()
+              if len(names) > 1}
+    assert shared == {}
+
+
+def test_float_constant_guard_sees_only_module_level_floats():
+    trees = {name: ast.parse(code) for name, code in {
+        "a": "FLOOR = 1e-14\nLIMIT = 1.0 - 1e-12\nCOUNT = 4\nNAME = 'x'",
+        "b": "OTHER: float = 1e-14\nNEAR = 1e-12\nX, Y = 2.0, 2.0",
+        "c": "def f():\n    LOCAL = 1e-14\nclass C:\n    FIELD = 1e-14\nTOL = -(2 * 0.5e-14)",
+        "d": "import math\nSCALED = math.pi * 2.0\nCOUNT = 4",
+    }.items()}
+    assert float_constants(trees) == {
+        1e-14: ["a.FLOOR", "b.OTHER"], 1.0 - 1e-12: ["a.LIMIT"], 1e-12: ["b.NEAR"],
+        -1e-14: ["c.TOL"]}
