@@ -36,7 +36,6 @@ import gc
 import importlib
 import importlib.util
 import json
-import statistics
 import sys
 import tempfile
 import time
@@ -155,7 +154,7 @@ def summarize(parent: list[float], change: list[float], calls: int) -> dict:
     certify calls behind one round's time of one side. A round is a win for the change
     when its ratio parent/change is above 1."""
     ratios = [p / c for p, c in zip(parent, change, strict=True)]
-    q1, median, q3 = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    q1, median, q3 = ab_bench.quartiles(ratios)
     return {"rounds": len(ratios), "calls_per_round": calls,
             "parent_us": 1e6 * sum(parent) / (calls * len(parent)),
             "change_us": 1e6 * sum(change) / (calls * len(change)),
