@@ -21,7 +21,7 @@ import cmath
 import math
 from typing import Mapping, NamedTuple
 
-from .disc_moebius import _product, make_moebius
+from .disc_moebius import DENOM_THRESHOLD, _product, make_moebius
 from .errors import NotNormalized, NotWeightedHomogeneous, ParameterOutOfDomain, SingularJacobian
 from .g2_group import Jacobian2
 from .sym_geometry import SymPoint
@@ -133,7 +133,8 @@ def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
     """Origin Jacobian of the rotation commutator, J^-1 diag(1/t, 1/t^2) J diag(t, t^2).
 
     For J = [[1, b], [0, d]] the product collapses to [[1, b*(tau-1)], [0, 1]]: the
-    commutator is unipotent no matter what d is; a non-finite entry raises ArithmeticError.
+    commutator is unipotent no matter what d is. A non-finite entry raises ArithmeticError,
+    and a |det| below DENOM_THRESHOLD, the one pole floor, raises SingularJacobian.
     """
     t = make_moebius(tau, 0j).tau
     if not all(map(cmath.isfinite, J)):
@@ -141,8 +142,8 @@ def commutator_jacobian(J: Jacobian2, tau: complex) -> Jacobian2:
     if abs(J.m11 - 1.0) > CERTIFY_TOL or abs(J.m21) > CERTIFY_TOL:
         raise NotNormalized(f"origin Jacobian {J} is not of the form [[1, b], [0, d]]")
     det = J.m11 * J.m22 - J.m12 * J.m21
-    if abs(det) <= 1e-12:
-        raise SingularJacobian(f"|det| = {abs(det)} below 1e-12")
+    if abs(det) < DENOM_THRESHOLD:
+        raise SingularJacobian(f"|det| = {abs(det)} below {DENOM_THRESHOLD}")
     inv = Jacobian2(J.m22 / det, -J.m12 / det, -J.m21 / det, J.m11 / det)
     before = Jacobian2(t, 0j, 0j, t * t)
     after = Jacobian2(1.0 / t, 0j, 0j, 1.0 / (t * t))

@@ -18,7 +18,7 @@ from .errors import ParameterOutOfDomain, PoleEncountered
 A_MODULUS_LIMIT = 1.0 - 1e-12
 # |tau| may drift this far from 1 on input; it is renormalized on construction.
 TAU_MODULUS_SLACK = 1e-6
-# Denominators below this are the pole itself, here and in g2_group's lifted form.
+# A denominator below this is the pole: apply_moebius's, _lift_form's, commutator's det.
 DENOM_THRESHOLD = 1e-14
 
 

@@ -117,8 +117,8 @@ def rotation(tau: complex) -> G2Automorphism:
 
 
 def transport_to_origin(pt: SymPoint, tol: float = DEFAULT_TOL) -> G2Automorphism:
-    """The group element sending a royal point (2a, a^2) to the origin; a negative
-    tol raises ParameterOutOfDomain, through royal_param."""
+    """The group element sending a royal point (2a, a^2) to the origin; a negative or
+    NaN tol raises ParameterOutOfDomain, through royal_param."""
     a = royal_param(pt, tol)
     if abs(a) >= A_MODULUS_LIMIT:
         raise NotOnRoyalVariety(f"|s/2| = {abs(a)} is not inside the open disc")

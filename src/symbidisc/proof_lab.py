@@ -263,12 +263,11 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     n = TORUS_POINTS**2
     raw = _readout(SymPoint(moved.s[:n], moved.p[:n]))
 
-    m11 = origin_jacobian(raw).m11
-    if abs(m11) < 0.1:
-        raise PreconditionUnmet(f"degenerate rotation part |m11| = {abs(m11)}")
-    rot = m11 / abs(m11)
-    rot_inv = rot.conjugate()
     alpha, d, C = weighted_form_extract(raw)
+    if abs(alpha) < 0.1:  # alpha is the Jacobian's (1,1) entry
+        raise PreconditionUnmet(f"degenerate rotation part |m11| = {abs(alpha)}")
+    rot = alpha / abs(alpha)
+    rot_inv = rot.conjugate()
     alpha, d, C = rot_inv * alpha, rot_inv * rot_inv * d, rot_inv * rot_inv * C
     distances = _distances(_SAMPLE, SymPoint(rot_inv * moved.s, rot_inv * rot_inv * moved.p))
     grid_residual, royal_residual = np.maximum.reduceat(distances, (0, n)).tolist()

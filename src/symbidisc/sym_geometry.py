@@ -82,28 +82,28 @@ def in_g2(pt: SymPoint, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 
     A root that overflows to infinity gives ("exterior", -inf), as SymPoint(2e154, 0)
     and SymPoint(0, 1e308) do; CLI membership exits 65 on such a point with an error
-    that names it and its overflowing roots. A NaN margin (SymPoint(0, 1.7e308j)) or tol
-    raises ArithmeticError, not "boundary"; a negative tol raises ParameterOutOfDomain.
+    that names it and its overflowing roots. A NaN margin (SymPoint(0, 1.7e308j)) raises
+    ArithmeticError, not "boundary"; a negative or NaN tol raises ParameterOutOfDomain.
     """
     r1, r2 = _roots(pt.s, pt.p)
     m1, m2 = abs(r1), abs(r2)
     margin = 1.0 - (m2 if m2 > m1 else m1)  # max(m1, m2), without the call
-    if tol < 0.0:  # the interior and exterior tests would overlap
-        raise ParameterOutOfDomain(f"tolerance {tol} is negative")
+    if not tol >= 0.0:  # negated, for NaN; a negative tol would overlap the tests
+        raise ParameterOutOfDomain(f"tolerance {tol} is not >= 0")
     if margin > tol:
         return tuple.__new__(MembershipVerdict, ("interior", margin))
     if margin < -tol:
         return tuple.__new__(MembershipVerdict, ("exterior", margin))
     if -tol <= margin <= tol:
         return tuple.__new__(MembershipVerdict, ("boundary", margin))
-    raise ArithmeticError(f"membership margin {margin} or tolerance {tol} is not a number")
+    raise ArithmeticError(f"membership margin {margin} is not a number")
 
 
 def in_sigma2(pt: SymPoint, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Royal-variety test. Returns (verdict, residual) with residual = |s**2 - 4p|;
-    a negative tol raises ParameterOutOfDomain, by the rule in_g2 applies."""
-    if tol < 0.0:  # a royal point, whose residual can be 0.0, would fail the test
-        raise ParameterOutOfDomain(f"tolerance {tol} is negative")
+    a negative or NaN tol raises ParameterOutOfDomain, by the rule in_g2 applies."""
+    if not tol >= 0.0:  # else a royal point, whose residual can be 0.0, would fail
+        raise ParameterOutOfDomain(f"tolerance {tol} is not >= 0")
     s = pt.s
     residual = abs(s * s - 4.0 * pt.p)
     member = residual <= tol and abs(s) / 2.0 < 1.0 + tol
@@ -112,7 +112,7 @@ def in_sigma2(pt: SymPoint, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
 
 def royal_param(pt: SymPoint, tol: float = DEFAULT_TOL) -> complex:
     """The lam with pt = (2*lam, lam**2); requires pt on the royal variety, and a
-    negative tol raises ParameterOutOfDomain, through in_sigma2."""
+    negative or NaN tol raises ParameterOutOfDomain, through in_sigma2."""
     member, residual = in_sigma2(pt, tol)
     if not member and residual <= tol:  # on the variety, but not over the disc
         raise NotOnRoyalVariety(f"|s/2| = {abs(pt.s) / 2.0} is not below 1 + {tol}")

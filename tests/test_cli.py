@@ -246,6 +246,12 @@ class TestCommutator:
         assert payload["n_star"] == 2
         assert payload["jacobian_of_G"][0][1] == {"re": -2.0, "im": 0.0}
 
+    def test_small_determinant_above_the_floor_violates(self, capsys):
+        # d = 1e-13 lies above the shared pole floor DENOM_THRESHOLD = 1e-14
+        cand = '{"terms":[{"j":1,"k":0,"S":1,"P":0},{"j":0,"k":1,"S":0.3,"P":1e-13}]}'
+        code, out, _ = run(capsys, "commutator", cand, "--tau", "-1")
+        assert code == 4 and json.loads(out)["n_star"] == 4
+
     def test_tau_as_json_object(self, capsys):
         code, out, _ = run(capsys, "commutator", IDENTITY_CANDIDATE,
                            "--tau", '{"re": 0, "im": 1}')

@@ -59,8 +59,8 @@ def test_outcome_of_a_failing_map_is_its_exception():
     def moves_the_origin_off_the_variety(q):
         return symbidisc.SymPoint(q.s + 0.5, q.p)
 
-    name, message = inproc_ab.outcome(symbidisc.normalize_and_extract,
-                                      moves_the_origin_off_the_variety)
+    name, message = inproc_ab.fingerprint(inproc_ab.result(symbidisc.normalize_and_extract,
+                                                           moves_the_origin_off_the_variety))
     assert name == "NotOnRoyalVariety" and "discriminant residual" in message
 
 

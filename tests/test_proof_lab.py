@@ -42,6 +42,7 @@ from symbidisc import (
     weighted_form_extract,
 )
 from symbidisc import proof_lab, sampling
+from symbidisc.disc_moebius import DENOM_THRESHOLD
 from symbidisc.proof_lab import CandidateMap
 from symbidisc.sampling import (
     random_disc,
@@ -158,9 +159,16 @@ class TestCommutatorJacobian:
             assert abs(G.m21) <= 1e-12
             assert abs(G.m22 - 1) <= 1e-12
 
-    def test_rejects_singular(self):
-        with pytest.raises(SingularJacobian):
-            commutator_jacobian(Jacobian2(1, 1, 0, 0), -1)
+    @pytest.mark.parametrize("d", [1e-15, 0.0])
+    def test_rejects_singular(self, d):
+        # the determinant shares the pole floor of every denominator
+        with pytest.raises(SingularJacobian, match=f"below {DENOM_THRESHOLD}$"):
+            commutator_jacobian(Jacobian2(1, 1, 0, d), -1)
+
+    def test_small_determinant_above_the_floor_is_exact(self):
+        # d = 1e-13 sits above DENOM_THRESHOLD, and with m21 = 0 the commutator is exact
+        G = commutator_jacobian(Jacobian2(1, 0.3, 0, 1e-13), -1)
+        assert max(abs(G.m11 - 1), abs(G.m12 + 0.6), abs(G.m21), abs(G.m22 - 1)) <= 1e-15
 
     def test_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
@@ -721,6 +729,13 @@ class TestPipeline:
         F = make_candidate({(1, 0): (1, 0), (0, 1): (0, 1), (2, 0): (0.4, 0)})
         with pytest.raises(NotWeightedHomogeneous):
             normalize_and_extract(F)
+
+    def test_stray_monomial_is_named_before_a_degenerate_rotation_part(self):
+        # (0.05 s + 0.01 s**2, p): |alpha| < 0.1, and S holds a weight-2 term
+        F = make_candidate({(1, 0): (0.05, 0), (0, 1): (0, 1), (2, 0): (0.01, 0)})
+        with pytest.raises(NotWeightedHomogeneous) as excinfo:
+            normalize_and_extract(F)
+        assert excinfo.value.violations == [("S", 2, 0)]
 
     def test_zero_map_has_a_degenerate_rotation_part(self):
         with pytest.raises(PreconditionUnmet, match="degenerate rotation part"):

@@ -171,7 +171,7 @@ class TestMembership:
         # roots 0.5 and 1.5, margin -0.5: a tol of -1 would pass the interior test
         with pytest.raises(ParameterOutOfDomain):
             in_g2(SymPoint(2, 0.75), -1.0)
-        with pytest.raises(ArithmeticError):  # a NaN tol, as before
+        with pytest.raises(ParameterOutOfDomain):  # a NaN tol, by the same rule
             in_g2(SymPoint(2, 0.75), math.nan)
 
     def test_tiny_negative_tolerance_raises_just_outside(self):
@@ -319,18 +319,20 @@ class TestSigma2:
 
 
 class TestToleranceRule:
-    """Every tol, of the membership and royal-variety tests alike, rejects a negative."""
+    """Every tol, of the membership and royal-variety tests alike, rejects a negative
+    or NaN value with one message."""
 
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan], ids=["negative", "nan"])
     @pytest.mark.parametrize("check,pt", [
         (in_g2, SymPoint(0, 0)),
-        # residual 0.0 <= tol fails for any tol < 0, so (False, 0.0) would call the
-        # origin non-royal, and royal_param would blame "discriminant residual 0.0"
+        # residual 0.0 <= tol fails for any tol < 0 or NaN, so (False, 0.0) would call
+        # the origin non-royal, and royal_param would blame "discriminant residual 0.0"
         (in_sigma2, SymPoint(0, 0)),
         (royal_param, SymPoint(1, 0.25)),
         (transport_to_origin, SymPoint(1, 0.25)),
     ], ids=["in_g2", "in_sigma2", "royal_param", "transport_to_origin"])
-    def test_negative_tolerance_raises_and_zero_is_exact(self, check, pt):
-        with pytest.raises(ParameterOutOfDomain, match="^tolerance -1e-12 is negative$"):
-            check(pt, -1e-12)
+    def test_bad_tolerance_raises_and_zero_is_exact(self, check, pt, tol):
+        with pytest.raises(ParameterOutOfDomain, match=f"^tolerance {tol} is not >= 0$"):
+            check(pt, tol)
         # each point is exact, so the exact test agrees with the default tolerance
         assert check(pt, 0.0) == check(pt)

@@ -103,11 +103,6 @@ def result(certify, map_like):
         return exc
 
 
-def outcome(certify, map_like):
-    """The fingerprint of certify's report on map_like, or of its exception."""
-    return fingerprint(result(certify, map_like))
-
-
 def verdict(result) -> tuple:
     """A report's (identity_certified, royal_ok), or an exception's type name."""
     if isinstance(result, Exception):
