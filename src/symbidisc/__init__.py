@@ -15,7 +15,6 @@ from .disc_moebius import (
     make_moebius,
 )
 from .errors import (
-    DenominatorDegenerate,
     NotNormalized,
     NotOnRoyalVariety,
     NotWeightedHomogeneous,

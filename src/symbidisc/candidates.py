@@ -50,23 +50,18 @@ CERTIFY_TOL = 1e-8
 class CandidateMap(NamedTuple):
     """Polynomial map (S, P) with coefficient table {(j, k): (cS, cP)} on s**j * p**k.
 
-    Monomials respect the weighted degree bound j + 2k <= degree_cap and the
+    Monomials respect the weighted degree bound j + 2k <= DEGREE_CAP and the
     constant term vanishes, so every candidate fixes the origin.
     """
 
     terms: Mapping[tuple[int, int], tuple[complex, complex]]
-    degree_cap: int = DEGREE_CAP
 
     def __call__(self, pt: SymPoint) -> SymPoint:
         return evaluate_candidate(self, pt)
 
 
-def make_candidate(terms: Mapping[tuple[int, int], tuple[complex, complex]],
-                   degree_cap: int = DEGREE_CAP) -> CandidateMap:
+def make_candidate(terms: Mapping[tuple[int, int], tuple[complex, complex]]) -> CandidateMap:
     """Validate and canonicalize a coefficient table (sorted keys, complex values)."""
-    if degree_cap % 1 or degree_cap < 0:  # nonzero for a fraction, NaN or infinity
-        raise ParameterOutOfDomain(f"degree cap {degree_cap} is not a non-negative integer")
-    degree_cap = int(degree_cap)
     clean: dict[tuple[int, int], tuple[complex, complex]] = {}
     for (j, k), (cs, cp) in sorted(terms.items()):
         if j % 1 or k % 1:  # nonzero for a fraction, NaN or infinity
@@ -77,15 +72,15 @@ def make_candidate(terms: Mapping[tuple[int, int], tuple[complex, complex]],
             raise ParameterOutOfDomain(f"monomial ({j}, {k}) has a non-finite coefficient")
         if j < 0 or k < 0:
             raise ParameterOutOfDomain(f"negative exponents ({j}, {k})")
-        if j + 2 * k > degree_cap:
+        if j + 2 * k > DEGREE_CAP:
             raise ParameterOutOfDomain(
-                f"monomial ({j}, {k}) has weighted degree {j + 2 * k} > cap {degree_cap}")
+                f"monomial ({j}, {k}) has weighted degree {j + 2 * k} > cap {DEGREE_CAP}")
         if (j, k) == (0, 0):
             if cs != 0 or cp != 0:
                 raise ParameterOutOfDomain("candidate must fix the origin (no constant term)")
             continue
         clean[(j, k)] = (cs, cp)
-    return CandidateMap(clean, degree_cap)
+    return CandidateMap(clean)
 
 
 def evaluate_candidate(F: CandidateMap, pt: SymPoint) -> SymPoint:
@@ -221,8 +216,5 @@ def weighted_form_extract(F: CandidateMap) -> tuple[complex, complex, complex]:
             violations.append(("P", j, k))
     if violations:
         raise NotWeightedHomogeneous(sorted(violations))
-    zero = (0j, 0j)
-    alpha = F.terms.get((1, 0), zero)[0]
-    d = F.terms.get((0, 1), zero)[1]
-    C = F.terms.get((2, 0), zero)[1]
-    return alpha, d, C
+    J = origin_jacobian(F)
+    return J.m11, J.m22, F.terms.get((2, 0), (0j, 0j))[1]

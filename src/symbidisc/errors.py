@@ -6,11 +6,7 @@ class ParameterOutOfDomain(ValueError):
 
 
 class PoleEncountered(ArithmeticError):
-    """A Moebius map was evaluated at (or too close to) its pole 1/conj(a)."""
-
-
-class DenominatorDegenerate(ArithmeticError):
-    """The rational form's denominator vanished; the point is far outside the domain."""
+    """A Moebius map, or its lift at a root, was evaluated at (or too near) its pole 1/conj(a)."""
 
 
 class SingularJacobian(ValueError):

@@ -25,7 +25,7 @@ from .disc_moebius import (
     invert,
     make_moebius,
 )
-from .errors import DenominatorDegenerate, NotOnRoyalVariety
+from .errors import NotOnRoyalVariety, PoleEncountered
 from .sym_geometry import DEFAULT_TOL, SymPoint, _roots, royal_param, symmetrize
 
 
@@ -70,9 +70,10 @@ def _lift_form(tau, a, s, p):
     """apply_g2's closed form on complex scalars or on complex128 arrays alike.
 
     Arrays hold one group element or one point per entry and broadcast against each other.
-    Returns (S, P, den); raises DenominatorDegenerate before dividing when any |den| is
-    below DENOM_THRESHOLD, apply_moebius's floor too. On arrays a NaN entry is skipped,
-    as the scalar form lets it through, so that it cannot hide a degenerate entry.
+    Returns (S, P, den); den = (1 - conj(a)*lam1)(1 - conj(a)*lam2) vanishes at a root
+    on h's pole, so, like apply_g2_via_roots, it raises PoleEncountered before dividing
+    when any |den| is below DENOM_THRESHOLD, apply_moebius's floor too. On arrays a NaN
+    entry is skipped, as the scalar form lets it through, so it cannot hide a bad one.
     """
     ac = a.conjugate()
     den = 1.0 - ac * s + ac * ac * p
@@ -84,7 +85,7 @@ def _lift_form(tau, a, s, p):
 
         smallest = np.fmin.reduce(mod, axis=None)  # fmin, unlike min, passes over NaN
     if smallest < DENOM_THRESHOLD:
-        raise DenominatorDegenerate(f"denominator {smallest} below {DENOM_THRESHOLD}")
+        raise PoleEncountered(f"denominator {smallest} below {DENOM_THRESHOLD}")
     # grouped so that both numerators cancel exactly at the map's own royal point
     # (s, p) = (2a, a^2); the expanded form (1+|a|^2)s - 2*conj(a)*p - 2a leaks
     # rounding noise there that the denominator (1-|a|^2)^2 then amplifies

@@ -2,7 +2,8 @@
 
 Complex numbers are always emitted as {"re": x, "im": y}; on input a bare number is
 accepted as shorthand for a real value. Encoders produce plain dicts with a fixed
-key order so serialized output is byte-stable.
+key order so serialized output is byte-stable. Every decoder reads its objects with
+`_fields`, which rejects a missing key and any key the object does not define.
 """
 
 from __future__ import annotations
@@ -24,14 +25,19 @@ def complex_to_json(z: complex) -> dict:
     return {"re": z.real + 0.0, "im": z.imag + 0.0}
 
 
+def _fields(obj: Any, name: str, /, *required: str, **optional: Any) -> list:
+    """obj's values of the required keys, then of the optional keys or their defaults."""
+    if not isinstance(obj, dict) or not set(required) <= obj.keys():
+        keys = " and ".join(map(repr, required))
+        raise ValueError(f"{name} needs key{'s' * (len(required) > 1)} {keys}")
+    extra = obj.keys() - required - optional.keys()
+    if extra:
+        raise ValueError(f"unexpected keys {sorted(extra)} in {name}")
+    return [*map(obj.__getitem__, required), *map(obj.get, optional, optional.values())]
+
+
 def complex_from_json(obj: Any) -> complex:
-    if isinstance(obj, dict):
-        extra = set(obj) - {"re", "im"}
-        if extra:
-            raise ValueError(f"unexpected keys {sorted(extra)} in complex value")
-        re, im = obj.get("re", 0.0), obj.get("im", 0.0)
-    else:
-        re, im = obj, 0.0
+    re, im = _fields(obj, "complex value", re=0.0, im=0.0) if isinstance(obj, dict) else (obj, 0.0)
     # each part is a JSON number: float() would read "0.5" and true, and fail on null
     if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
         raise ValueError(f"expected a complex number, got {obj!r}")
@@ -49,9 +55,8 @@ def moebius_to_json(h: DiscAutomorphism) -> dict:
 
 
 def moebius_from_json(obj: Any) -> DiscAutomorphism:
-    if not isinstance(obj, dict) or "tau" not in obj or "a" not in obj:
-        raise ValueError("disc automorphism needs keys 'tau' and 'a'")
-    return make_moebius(complex_from_json(obj["tau"]), complex_from_json(obj["a"]))
+    tau, a = _fields(obj, "disc automorphism", "tau", "a")
+    return make_moebius(complex_from_json(tau), complex_from_json(a))
 
 
 def sympoint_to_json(pt: SymPoint) -> dict:
@@ -59,9 +64,8 @@ def sympoint_to_json(pt: SymPoint) -> dict:
 
 
 def sympoint_from_json(obj: Any) -> SymPoint:
-    if not isinstance(obj, dict) or "s" not in obj or "p" not in obj:
-        raise ValueError("point needs keys 's' and 'p'")
-    return SymPoint(complex_from_json(obj["s"]), complex_from_json(obj["p"]))
+    s, p = _fields(obj, "point", "s", "p")
+    return SymPoint(complex_from_json(s), complex_from_json(p))
 
 
 def g2_to_json(H: G2Automorphism) -> dict:
@@ -69,9 +73,8 @@ def g2_to_json(H: G2Automorphism) -> dict:
 
 
 def g2_from_json(obj: Any) -> G2Automorphism:
-    if not isinstance(obj, dict) or "h" not in obj:
-        raise ValueError("group element needs key 'h'")
-    return lift(moebius_from_json(obj["h"]))
+    (h,) = _fields(obj, "group element", "h")
+    return lift(moebius_from_json(h))
 
 
 def verdict_to_json(v: MembershipVerdict) -> dict:
@@ -88,22 +91,19 @@ def jacobian_to_json(J: Jacobian2) -> list:
 def candidate_from_json(obj: Any) -> CandidateMap:
     from .candidates import DEGREE_CAP, make_candidate
 
-    if not isinstance(obj, dict) or "terms" not in obj:
-        raise ValueError("candidate needs key 'terms'")
-    if not isinstance(obj["terms"], list):
+    terms, cap = _fields(obj, "candidate", "terms", degree_cap=DEGREE_CAP)
+    if not isinstance(terms, list):
         raise ValueError("'terms' must be a list")
+    if _exponent(cap) != DEGREE_CAP:
+        raise ValueError(f"degree cap {cap} is not {DEGREE_CAP}")
     table = {}
-    for entry in obj["terms"]:
-        if not isinstance(entry, dict) or "j" not in entry or "k" not in entry:
-            raise ValueError(f"term {entry!r} needs keys 'j' and 'k'")
-        key = (_exponent(entry["j"]), _exponent(entry["k"]))
+    for entry in terms:
+        j, k, cs, cp = _fields(entry, f"term {entry!r}", "j", "k", S=0.0, P=0.0)
+        key = (_exponent(j), _exponent(k))
         if key in table:
             raise ValueError(f"duplicate monomial {key}")
-        table[key] = (
-            complex_from_json(entry.get("S", 0.0)),
-            complex_from_json(entry.get("P", 0.0)),
-        )
-    return make_candidate(table, _exponent(obj.get("degree_cap", DEGREE_CAP)))
+        table[key] = (complex_from_json(cs), complex_from_json(cp))
+    return make_candidate(table)
 
 
 def _exponent(obj: Any) -> int:

@@ -249,7 +249,7 @@ def normalize_and_extract(map_like: Callable[[SymPoint], SymPoint]) -> PipelineR
     Raises NotWeightedHomogeneous when the normalized map does not commute with
     rotations, NotOnRoyalVariety (a PreconditionUnmet) when the origin image is off
     the royal variety, PreconditionUnmet when the map's values on the stacked sample
-    have another shape than the sample, DenominatorDegenerate (before the weighted
+    have another shape than the sample, PoleEncountered (before the weighted
     form is read) when a value on the stacked sample sits on the transport's pole,
     and ArithmeticError when the map has a non-finite value at the origin (checked
     before the transport), on the torus grid or on the royal sample.

@@ -272,9 +272,11 @@ class TestCommutator:
         code, out, err = run(capsys, "commutator", cand, "--tau", "-1")
         assert (code, out) == (64, "") and "negative exponents (-1, 1)" in err
 
-    def test_negative_degree_cap_exits_64(self, capsys):
-        code, out, err = run(capsys, "commutator", '{"terms":[],"degree_cap":-3}', "--tau", "-1")
-        assert (code, out) == (64, "") and "degree cap -3" in err
+    @pytest.mark.parametrize("cap", [-3, 6])
+    def test_degree_cap_other_than_4_exits_64(self, capsys, cap):
+        cand = json.dumps({"terms": [], "degree_cap": cap})
+        code, out, err = run(capsys, "commutator", cand, "--tau", "-1")
+        assert (code, out) == (64, "") and f"degree cap {cap} is not 4" in err
 
     def test_unnormalized_error_names_the_jacobian(self, capsys):
         # the message embeds Jacobian2's repr
@@ -283,10 +285,11 @@ class TestCommutator:
         assert err == ("error: origin Jacobian Jacobian2(m11=0j, m12=0j, m21=0j, m22=0j) "
                        "is not of the form [[1, b], [0, d]]\n")
 
-    def test_output_bytes_are_pinned(self, capsys):
+    @pytest.mark.parametrize("cap", [{"degree_cap": 4}, {}], ids=["cap", "no_cap"])
+    def test_output_bytes_are_pinned(self, capsys, cap):
         # tau = exp(0.9i) and a complex d leave rounding-level digits in jacobian_of_G,
         # so any change to the order or kind of its 2x2 arithmetic changes these bytes
-        cand = json.dumps({"degree_cap": 4, "terms": [
+        cand = json.dumps({**cap, "terms": [
             {"j": 0, "k": 1, "S": 0.7, "P": {"re": 0.5, "im": 0.3}},
             {"j": 1, "k": 0, "S": 1, "P": 0}]})
         tau = '{"re": 0.6216099682706644, "im": 0.7833269096274834}'
@@ -368,14 +371,31 @@ JSON_ARGUMENTS = {
 }
 
 
+# For each JSON argument, a text whose object, or an object inside it, carries a key
+# it does not define. The candidate's second term spells S as "s": read as a missing
+# S, that typo made b = 0 and passed the commutator test with exit 0.
+UNKNOWN_KEY = {
+    "membership": '{"s": 0.5, "p": 0, "q": 1}',
+    "apply_automorphism": '{"h": {"tau": 1, "a": 0, "b": 0}}',
+    "apply_point": '{"s": {"re": 0.5, "img": 0}, "p": 0}',
+    "transport": '{"s": 1.0, "p": 0.25, "tol": 1}',
+    "orbit": '{"s": 0.5, "p": 0, "samples": 3}',
+    "commutator_candidate": '{"terms":[{"j":1,"k":0,"S":1},{"j":0,"k":1,"s":0.5,"P":1}]}',
+    "commutator_tau": '{"re": -1, "imag": 0}',
+}
+
+
 class TestInputErrors:
     @pytest.mark.parametrize("stdin", [False, True], ids=["argv", "stdin"])
-    @pytest.mark.parametrize("text", ["{not json", "[]"], ids=["malformed", "rejected"])
+    @pytest.mark.parametrize("text", ["{not json", "[]", None],
+                             ids=["malformed", "rejected", "unknown_key"])
     @pytest.mark.parametrize("name", sorted(JSON_ARGUMENTS))
     def test_every_json_argument_exits_64_with_usage_and_reason(self, capsys, monkeypatch,
                                                                  name, text, stdin):
-        # "[]" is valid JSON that every decoder rejects with a ValueError
+        # "[]" is valid JSON that every decoder rejects with a ValueError; None stands
+        # for the argument's own UNKNOWN_KEY text
         command, argument, decode, _, args = JSON_ARGUMENTS[name]
+        text = UNKNOWN_KEY[name] if text is None else text
         if stdin:
             monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, err = run(capsys, command, *args("-" if stdin else text))

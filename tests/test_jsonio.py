@@ -63,6 +63,18 @@ class TestDomainTypes:
         with pytest.raises(ValueError, match="needs key 'h'"):
             g2_from_json(bad)
 
+    @pytest.mark.parametrize("decode,obj", [
+        (sympoint_from_json, {"s": 0, "p": 0, "q": 0}),
+        (moebius_from_json, {"tau": 1, "a": 0, "b": 0}),
+        (g2_from_json, {"h": {"tau": 1, "a": 0}, "H": 0}),
+        (candidate_from_json, {"terms": [], "cap": 4}),
+        (candidate_from_json, {"terms": [{"j": 1, "k": 0, "S": 1, "s": 0}]}),
+    ], ids=["point", "moebius", "g2", "candidate", "term"])
+    def test_unknown_key_raises(self, decode, obj):
+        # a mistyped optional key would otherwise be read as its default
+        with pytest.raises(ValueError, match=r"^unexpected keys \['\w+'\] in "):
+            decode(obj)
+
     def test_sympoint_roundtrip(self):
         pt = SymPoint(0.9 + 0.3j, 0.2 - 0.1j)
         assert sympoint_from_json(sympoint_to_json(pt)) == pt

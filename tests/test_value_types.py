@@ -69,8 +69,7 @@ REPRS = {
                  "m12=(-0.6893490217168338+0.2691322975842289j), "
                  "m21=(-0.1551748662341138-0.282094325488847j), "
                  "m22=(1.0849176856851914+0.0908486151638798j))",
-    "CandidateMap": f"CandidateMap(terms={{(0, 1): ({A}, {TAU}), (1, 0): ((1+0j), 0j)}}, "
-                    "degree_cap=4)",
+    "CandidateMap": f"CandidateMap(terms={{(0, 1): ({A}, {TAU}), (1, 0): ((1+0j), 0j)}})",
     "CommutatorReport": f"CommutatorReport(tau={TAU}, b={A}, "
                         "jacobian_of_g=Jacobian2(m11=(0.9999999999999999+0j), "
                         "m12=(0.004375934027164723-0.008375526762140798j), m21=0j, "
