@@ -51,8 +51,8 @@ def _canonical_params(tau, a):
 
 
 def _largest(values):
-    # a float is its own largest entry; an ndarray of floats has .max()
-    return values if isinstance(values, float) else values.max()
+    # a float is its own largest entry; an ndarray of moduli has .max(), 0 if empty
+    return values if isinstance(values, float) else values.max(initial=0.0)
 
 
 def apply_moebius(h: DiscAutomorphism, lam: complex) -> complex:
@@ -60,13 +60,14 @@ def apply_moebius(h: DiscAutomorphism, lam: complex) -> complex:
 
     A NaN denominator, as a NaN lam gives, raises ArithmeticError.
     """
-    den = 1.0 - h.a.conjugate() * lam
+    a = h.a
+    den = 1.0 - a.conjugate() * lam
     # negated, so that a NaN denominator fails the test
     if not abs(den) >= DENOM_THRESHOLD:
         if abs(den) < DENOM_THRESHOLD:
             raise PoleEncountered(f"lam = {lam} is at the pole of the map")
         raise ArithmeticError(f"denominator {den} at lam = {lam} is not finite")
-    return h.tau * (lam - h.a) / den
+    return h.tau * (lam - a) / den
 
 
 def _as_matrix(h: DiscAutomorphism) -> tuple[complex, complex, complex, complex]:

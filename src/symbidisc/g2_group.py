@@ -26,7 +26,7 @@ from .disc_moebius import (
     make_moebius,
 )
 from .errors import NotOnRoyalVariety, PoleEncountered
-from .sym_geometry import DEFAULT_TOL, SymPoint, _roots, royal_param, symmetrize
+from .sym_geometry import DEFAULT_TOL, SymPoint, _box, _roots, royal_param, symmetrize
 
 
 class G2Automorphism(NamedTuple):
@@ -62,8 +62,9 @@ def apply_g2(H: G2Automorphism, pt: SymPoint) -> SymPoint:
     denominator is nondegenerate, which covers a neighbourhood of the closed domain;
     membership is not enforced here.
     """
-    S, P, _ = _lift_form(H.h.tau, H.h.a, pt.s, pt.p)
-    return tuple.__new__(SymPoint, (S, P))
+    h = H.h
+    S, P, _ = _lift_form(h.tau, h.a, pt.s, pt.p)
+    return _box(SymPoint, (S, P))
 
 
 def _lift_form(tau, a, s, p):
@@ -77,20 +78,23 @@ def _lift_form(tau, a, s, p):
     """
     ac = a.conjugate()
     den = 1.0 - ac * s + ac * ac * p
-    mod = abs(den)
+    try:
+        mod = abs(den)
+    except OverflowError:  # a scalar den with a part near the largest float
+        raise OverflowError(f"the modulus of the denominator {den} overflows") from None
     if isinstance(mod, float):
         smallest = mod
     else:
         import numpy as np
 
-        smallest = np.fmin.reduce(mod, axis=None)  # fmin, unlike min, passes over NaN
+        smallest = np.fmin.reduce(mod, axis=None, initial=np.inf)  # skips NaN, unlike min
     if smallest < DENOM_THRESHOLD:
         raise PoleEncountered(f"denominator {smallest} below {DENOM_THRESHOLD}")
     # grouped so that both numerators cancel exactly at the map's own royal point
     # (s, p) = (2a, a^2); the expanded form (1+|a|^2)s - 2*conj(a)*p - 2a leaks
     # rounding noise there that the denominator (1-|a|^2)^2 then amplifies
     sa = a * s
-    s1 = ((s - 2.0 * a) + ac * (sa - 2.0 * p)) / den
+    s1 = ((s - a * 2.0) + ac * (sa - p * 2.0)) / den
     p1 = ((p - sa) + a * a) / den
     return tau * s1, tau * tau * p1, den
 

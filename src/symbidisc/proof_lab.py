@@ -49,7 +49,7 @@ from .candidates import (
 from .errors import PreconditionUnmet
 from .g2_group import apply_g2, transport_to_origin
 from .sampling import _orbit_arrays, random_disc_points, rng_from_seed
-from .sym_geometry import ORIGIN, SymPoint
+from .sym_geometry import ORIGIN, SymPoint, _box
 
 # Taylor coefficients are Cauchy integrals over the torus |s| = 0.5, |p| = 0.25,
 # sampled on a 16x16 grid. The torus lies inside the domain (its largest root
@@ -112,12 +112,12 @@ def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
     code that serves random_moebius, make_moebius and apply_g2 for one element. The
     images match that one-at-a-time loop to rounding, not bit for bit.
 
-    Images are boxed by the C call tuple.__new__(SymPoint, (s, p)) that SymPoint(s, p)
-    ends in, which skips SymPoint's generated Python __new__: about 0.15 us an image,
-    as much as the array pass costs.
+    Images are boxed by sym_geometry's _box, the C call tuple.__new__ that SymPoint(s, p)
+    ends in, bound once, which skips SymPoint's generated Python __new__: about 0.15 us
+    an image, as much as the array pass costs.
     """
     S, P = _orbit_arrays(pt, count, seed)
-    return list(map(tuple.__new__, itertools.repeat(SymPoint), zip(S.tolist(), P.tolist())))
+    return list(map(_box, itertools.repeat(SymPoint), zip(S.tolist(), P.tolist())))
 
 
 _KEYS = [(j, k) for j in range(DEGREE_CAP + 1) for k in range(DEGREE_CAP // 2 + 1)

@@ -80,8 +80,6 @@ def _orbit_arrays(pt: SymPoint, count: int, seed: int) -> tuple[np.ndarray, np.n
         raise ParameterOutOfDomain(f"orbit size {count} must not be negative")
     if in_g2(pt).region != "interior":
         raise PreconditionUnmet(f"{pt} is not an interior point")
-    if count == 0:
-        return np.empty(0, complex), np.empty(0, complex)
     tau, a = _canonical_params(*random_moebius_params(rng_from_seed(seed), count))
     S, P, _ = _lift_form(tau, a, pt.s, pt.p)
     return S, P

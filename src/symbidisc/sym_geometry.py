@@ -20,8 +20,8 @@ class SymPoint(NamedTuple):
     """A point of C^2 in (sum, product) coordinates.
 
     Construction checks nothing (a NamedTuple cannot override __new__), so the
-    per-point producers apply_g2, symmetrize and orbit_sample box with the C call
-    tuple.__new__(SymPoint, (s, p)) that SymPoint(s, p) ends in.
+    per-point producers apply_g2, symmetrize and orbit_sample box with _box(SymPoint,
+    (s, p)), the C call tuple.__new__ that SymPoint(s, p) ends in, bound once.
     """
 
     s: complex
@@ -41,10 +41,11 @@ class MembershipVerdict(NamedTuple):
 
 
 ORIGIN = SymPoint(0j, 0j)
+_box = tuple.__new__  # bound once, so that boxing skips the attribute lookup
 
 
 def symmetrize(lam1: complex, lam2: complex) -> SymPoint:
-    return tuple.__new__(SymPoint, (lam1 + lam2, lam1 * lam2))
+    return _box(SymPoint, (lam1 + lam2, lam1 * lam2))
 
 
 def _roots(s: complex, p: complex) -> tuple[complex, complex]:
@@ -55,9 +56,11 @@ def _roots(s: complex, p: complex) -> tuple[complex, complex]:
     comes from p/q rather than the symmetric formula; the naive (s - d)/2 loses half
     the digits whenever the roots nearly coincide (i.e. near the royal variety).
     """
-    d = cmath.sqrt(s * s - 4.0 * p)
+    # a float on the left costs a float.__mul__ that returns NotImplemented; on the
+    # right the product is the same, bit for bit, as both partial products are exact
+    d = cmath.sqrt(s * s - p * 4.0)
     plus, minus = s + d, s - d
-    q = 0.5 * (minus if abs(plus) < abs(minus) else plus)
+    q = (minus if abs(plus) < abs(minus) else plus) * 0.5
     if not q:  # only when s = 0 and p = 0
         return 0j, 0j
     return q, p / q
@@ -91,11 +94,11 @@ def in_g2(pt: SymPoint, tol: float = DEFAULT_TOL) -> MembershipVerdict:
     if not tol >= 0.0:  # negated, for NaN; a negative tol would overlap the tests
         raise ParameterOutOfDomain(f"tolerance {tol} is not >= 0")
     if margin > tol:
-        return tuple.__new__(MembershipVerdict, ("interior", margin))
+        return _box(MembershipVerdict, ("interior", margin))
     if margin < -tol:
-        return tuple.__new__(MembershipVerdict, ("exterior", margin))
+        return _box(MembershipVerdict, ("exterior", margin))
     if -tol <= margin <= tol:
-        return tuple.__new__(MembershipVerdict, ("boundary", margin))
+        return _box(MembershipVerdict, ("boundary", margin))
     raise ArithmeticError(f"membership margin {margin} is not a number")
 
 
@@ -105,7 +108,7 @@ def in_sigma2(pt: SymPoint, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     if not tol >= 0.0:  # else a royal point, whose residual can be 0.0, would fail
         raise ParameterOutOfDomain(f"tolerance {tol} is not >= 0")
     s = pt.s
-    residual = abs(s * s - 4.0 * pt.p)
+    residual = abs(s * s - pt.p * 4.0)
     member = residual <= tol and abs(s) / 2.0 < 1.0 + tol
     return member, residual
 

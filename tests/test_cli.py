@@ -118,6 +118,14 @@ class TestApply:
         code, out, err = run(capsys, "apply", auto, point(1e300, 1e300))
         assert code == 65 and "NaN" not in out and err != ""
 
+    def test_overflowing_denominator_is_named(self, capsys):
+        # |den| = |-8.5e307 + 1.7e308j| lies beyond the largest float
+        auto = '{"h":{"tau":{"re":-1,"im":0},"a":{"re":-0.5,"im":0.5}}}'
+        code, out, err = run(capsys, "apply", auto,
+                             '{"s":{"re":0,"im":1.7e308},"p":{"re":1.7e308,"im":0}}')
+        assert (code, out) == (65, "")
+        assert err == "error: the modulus of the denominator (-8.5e+307+1.7e+308j) overflows\n"
+
 
 class TestTransport:
     def test_origin_gives_identity(self, capsys):

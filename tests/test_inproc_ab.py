@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import types
 from pathlib import Path
 
 import pytest
@@ -108,3 +109,36 @@ def test_drift_counts_a_flipped_verdict():
     assert summary["verdicts_changed"] == 1
     assert set(summary["largest_difference"].values()) == {0.0}
     assert "no map gave a report" in inproc_ab.format_drift(inproc_ab.drift([report], [KeyError()]))
+
+
+def _with(module_name: str, **kernels):
+    """symbidisc as inproc_ab's sections read it, with `kernels` in place of the same
+    names of its module `module_name`."""
+    modules = {name: getattr(symbidisc, name)
+               for name in ("disc_moebius", "g2_group", "sym_geometry")}
+    modules[module_name] = types.SimpleNamespace(**{**vars(modules[module_name]), **kernels})
+    return types.SimpleNamespace(normalize_and_extract=symbidisc.normalize_and_extract, **modules)
+
+
+def _residual_moved(pt):
+    member, residual = symbidisc.in_sigma2(pt)
+    return member, math.nextafter(residual, math.inf)
+
+
+def _image_moved(H, pt):
+    s, p = symbidisc.g2_group.apply_g2_via_roots(H, pt)
+    return symbidisc.SymPoint(s, complex(math.nextafter(p.real, math.inf), p.imag))
+
+
+@pytest.mark.parametrize("section,change", [
+    ("membership", _with("sym_geometry", in_sigma2=_residual_moved)),
+    ("apply", _with("g2_group", apply_g2_via_roots=_image_moved)),
+], ids=["membership", "apply"])
+def test_a_moved_last_bit_is_not_timed(capsys, monkeypatch, section, change):
+    # one side's kernel moves the last bit of every output of one section
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    assert inproc_ab.compare("test", symbidisc, change) == 1
+    inputs = {"certify": 440, "membership": 10_000, "apply": 10_000}
+    assert capsys.readouterr().out.splitlines() == ["rev test, seed 11"] + [
+        f"{name}: {n} inputs, {n if name == section else 0} outputs differ by float.hex"
+        for name, n in inputs.items()]

@@ -1,4 +1,4 @@
-"""In-process A/B of certify: the working tree's normalize_and_extract against a parent's.
+"""In-process A/B of certify, membership and apply: the working tree against a parent.
 
 Usage, from anywhere inside a git checkout of symbidisc:
 
@@ -8,24 +8,32 @@ Usage, from anywhere inside a git checkout of symbidisc:
 `unpack`) into a temporary directory, which is removed at the end, as the package
 `symbidisc_parent`; every import inside `src/` is relative, so it loads beside the
 working tree's `symbidisc` in the same interpreter. perfbench's `build_inputs(SEED)`
-draws the certify section's seeded elements and injected C values, and each side
-rebuilds from them, with its own `lift`, `make_moebius` and `apply_g2`, the maps
-perfbench certifies: each element as a G2Automorphism and as a black box, and each
-injected shear.
+draws the inputs of three sections, and each side boxes them with its own package:
+- certify: each side rebuilds, with its own `lift`, `make_moebius` and `apply_g2`, the
+  maps perfbench certifies (each seeded element as a G2Automorphism and as a black
+  box, and each injected shear) and calls `normalize_and_extract` on each;
+- membership: perfbench's membership step body, `in_g2` and `in_sigma2`, on each of
+  the first POINTS points of the member cloud, as the side's own SymPoints;
+- apply: perfbench's apply step body, `apply_g2` and `apply_g2_via_roots` with the
+  apply element rebuilt by the side's own `lift` and `make_moebius`, and the two
+  images' discrepancy, on each of the first POINTS points of the apply cloud.
 
-The script first checks that both sides give the same report for every map, by
-`float.hex` of every field (or the same exception type and message). If one differs,
-it does not time: it prints how far the reports moved, the number of maps whose
+The script first checks, section by section, that both sides give the same output
+for every input, by `float.hex` of every float in it (a report's every field; a
+region, margin, flag and residual; both images and their discrepancy), or the same
+exception type and message. It prints the number of outputs that differ in each
+section and, for certify, how far the reports moved: the number of maps whose
 verdict (identity_certified, royal_ok) or exception type changed and, for each
-numeric report field, the largest absolute difference, and exits 1. So only a change
-that keeps every report bit for bit is timed. The script then runs ROUNDS ABBA
-rounds: in each, one pass of `normalize_and_extract` over all the maps on each side,
-then each side again in the reverse order, every pass timed with `time.thread_time`
-(CPU time of this thread, unpaced, so another process on the machine slows neither
-side's clock). The round ratio is the parent's time over the change's, above 1 when
-the change is faster. It prints each side's µs per call, the median and quartiles of
-the round ratios and the rounds the change won, then the same as one JSON line,
-which names the parent by its short commit hash.
+numeric report field, the largest absolute difference. If any output differs, it
+does not time and exits 1. So only a change that keeps every output bit for bit is
+timed. The script then runs ROUNDS ABBA rounds: in each, for each section in turn,
+one pass over all its inputs on each side, then each side again in the reverse
+order, every pass timed with `time.thread_time` (CPU time of this thread, unpaced, so
+another process on the machine slows neither side's clock). The round ratio is the
+parent's time over the change's, above 1 when the change is faster. For each
+section it prints each side's µs per call, the median and quartiles of the round
+ratios and the rounds the change won, then the same as one JSON line, which names
+the section and the parent by its short commit hash.
 """
 
 from __future__ import annotations
@@ -44,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PARENT_PACKAGE = "symbidisc_parent"
 SEED = 11  # perfbench's build_inputs seed: 440 certify maps
+POINTS = 10_000  # the leading points of the member and apply clouds
 ROUNDS = 60
 
 _spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
@@ -77,6 +86,46 @@ def certify_maps(pkg, elements: list, injected: list) -> list:
     return maps
 
 
+def membership_step(pkg):
+    """perfbench's membership step body on one point, with pkg's kernels: the whole
+    verdict and royal test, so that margin and residual are compared too."""
+    in_g2, in_sigma2 = pkg.sym_geometry.in_g2, pkg.sym_geometry.in_sigma2
+
+    def step(pt):
+        return in_g2(pt), in_sigma2(pt)
+    return step
+
+
+def apply_step(pkg, H):
+    """perfbench's apply step body on one point, with pkg's kernels: both routes'
+    images and their discrepancy, or the error that a route raised."""
+    apply_g2, apply_g2_via_roots = pkg.g2_group.apply_g2, pkg.g2_group.apply_g2_via_roots
+
+    def step(pt):
+        try:
+            a = apply_g2(H, pt)
+            b = apply_g2_via_roots(H, pt)
+            return a, b, max(abs(a.s - b.s), abs(a.p - b.p))
+        except (ArithmeticError, ValueError) as exc:
+            return exc
+    return step
+
+
+def sections(pkg, inputs) -> dict:
+    """Each section's (call, inputs) for pkg, in the order they are checked and timed,
+    the inputs boxed by pkg's own types."""
+    elements = [(H.h.tau, H.h.a) for H in inputs.genuine]
+    injected = [((H.h.tau, H.h.a), C) for H, C in inputs.injected]
+    h = inputs.apply_element.h
+    H = pkg.g2_group.lift(pkg.disc_moebius.make_moebius(h.tau, h.a))
+
+    def points(cloud):
+        return [pkg.sym_geometry.SymPoint(pt.s, pt.p) for pt in cloud[:POINTS]]
+    return {"certify": (pkg.normalize_and_extract, certify_maps(pkg, elements, injected)),
+            "membership": (membership_step(pkg), points(inputs.member_cloud)),
+            "apply": (apply_step(pkg, H), points(inputs.apply_cloud))}
+
+
 def fingerprint(value):
     """A report, or any part of it, with every float replaced by its float.hex; an
     exception as its type name and message."""
@@ -95,10 +144,10 @@ def fingerprint(value):
     return repr(value)
 
 
-def result(certify, map_like):
-    """certify's report on map_like, or the exception it raised."""
+def result(call, item):
+    """call's output on item (certify's report on a map), or the exception it raised."""
     try:
-        return certify(map_like)
+        return call(item)
     except Exception as exc:  # the same failure on both sides counts as agreement
         return exc
 
@@ -134,19 +183,19 @@ def format_drift(moved: dict) -> str:
             f"largest |change - parent| per field: {fields or 'no map gave a report on both sides'}")
 
 
-def timed_pass(certify, maps: list) -> float:
-    """Thread CPU seconds of one certify call per map."""
+def timed_pass(call, items: list) -> float:
+    """Thread CPU seconds of one call per item."""
     gc.collect()
     start = time.thread_time()
-    for map_like in maps:
-        certify(map_like)
+    for item in items:
+        call(item)
     return time.thread_time() - start
 
 
 def summarize(parent: list[float], change: list[float], calls: int) -> dict:
     """Per-call µs of each side (all its time over all its calls) and the round ratios'
     median and exclusive quartiles, from per-round times; `calls` is the number of
-    certify calls behind one round's time of one side. A round is a win for the change
+    calls behind one round's time of one side. A round is a win for the change
     when its ratio parent/change is above 1."""
     ratios = [p / c for p, c in zip(parent, change, strict=True)]
     q1, median, q3 = ab_bench.quartiles(ratios)
@@ -171,34 +220,40 @@ def parse_args(argv) -> argparse.Namespace:
 
 
 def compare(rev: str, parent_pkg, change_pkg) -> int:
-    """Check both packages' reports on SEED's maps, then time them in ABBA rounds."""
+    """Check both packages' outputs on SEED's inputs, section by section, then time
+    every section in ABBA rounds."""
     inputs = importlib.import_module("workload_inputs").build_inputs(SEED)
-    elements = [(H.h.tau, H.h.a) for H in inputs.genuine]
-    injected = [((H.h.tau, H.h.a), C) for H, C in inputs.injected]
-    sides = {name: (pkg.normalize_and_extract, certify_maps(pkg, elements, injected))
+    sides = {name: sections(pkg, inputs)
              for name, pkg in (("parent", parent_pkg), ("change", change_pkg))}
 
-    (parent, parent_maps), (change, change_maps) = sides.values()
-    before = [result(parent, map_like) for map_like in parent_maps]
-    after = [result(change, map_like) for map_like in change_maps]
-    differ = sum(fingerprint(a) != fingerprint(b) for a, b in zip(before, after))
-    print(f"rev {rev}, seed {SEED}: {len(change_maps)} maps, "
-          f"{differ} reports differ by float.hex")
-    if differ:
-        print(format_drift(drift(before, after)))
+    print(f"rev {rev}, seed {SEED}")
+    differing = 0
+    for section in sides["change"]:
+        (parent, parent_items), (change, change_items) = (sides[name][section] for name in sides)
+        before = [result(parent, item) for item in parent_items]
+        after = [result(change, item) for item in change_items]
+        differ = sum(fingerprint(a) != fingerprint(b) for a, b in zip(before, after, strict=True))
+        print(f"{section}: {len(change_items)} inputs, {differ} outputs differ by float.hex")
+        if differ and section == "certify":
+            print(format_drift(drift(before, after)))
+        differing += differ
+    if differing:
         return 1
 
-    times = {name: [] for name in sides}
+    times = {section: {name: [] for name in sides} for section in sides["change"]}
     for i in range(ROUNDS):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        spent = dict.fromkeys(sides, 0.0)
-        for name in order + order[::-1]:
-            spent[name] += timed_pass(*sides[name])
-        for name in sides:
-            times[name].append(spent[name])
-    summary = summarize(times["parent"], times["change"], 2 * len(change_maps))
-    print(format_summary(summary))
-    print(json.dumps({"rev": rev, "seed": SEED, **summary}))
+        for section in times:
+            spent = dict.fromkeys(sides, 0.0)
+            for name in order + order[::-1]:
+                spent[name] += timed_pass(*sides[name][section])
+            for name in sides:
+                times[section][name].append(spent[name])
+    for section in times:
+        calls = 2 * len(sides["change"][section][1])
+        summary = summarize(times[section]["parent"], times[section]["change"], calls)
+        print(f"{section}: {format_summary(summary)}")
+        print(json.dumps({"rev": rev, "seed": SEED, "section": section, **summary}))
     return 0
 
 
