@@ -49,24 +49,22 @@ from .sym_geometry import (
 
 __version__ = "0.3.0"
 
-# the lab's names, imported on first access (PEP 562): the scalar commands load
-# neither module, and commutator loads candidates without proof_lab, numpy or the
-# dataclasses module that proof_lab needs
-_CANDIDATE_NAMES = frozenset({
-    "CandidateMap", "CommutatorReport", "cauchy_bound_check", "commutator_experiment",
-    "commutator_jacobian", "evaluate_candidate", "iterate_commutator", "make_candidate",
-    "origin_jacobian", "weighted_form_extract",
-})
-_PROOF_LAB_NAMES = frozenset({
-    "PipelineReport", "fit_candidate", "force_c_zero", "normalize_and_extract", "orbit_sample",
-})
+# the lazy names (PEP 562), each imported on first access from the module it maps to:
+# the scalar commands load none of the three, commutator loads candidates alone, and only
+# proof_lab's own names load proof_lab and the dataclasses module that the pipeline needs
+_LAZY = {
+    **dict.fromkeys((
+        "CandidateMap", "CommutatorReport", "cauchy_bound_check", "commutator_experiment",
+        "commutator_jacobian", "evaluate_candidate", "iterate_commutator", "make_candidate",
+        "origin_jacobian", "weighted_form_extract"), "candidates"),
+    **dict.fromkeys((
+        "PipelineReport", "fit_candidate", "force_c_zero", "normalize_and_extract"), "proof_lab"),
+    "orbit_sample": "sampling",
+}
 
 
 def __getattr__(name: str):
-    if name in _CANDIDATE_NAMES:
-        from . import candidates as lab
-    elif name in _PROOF_LAB_NAMES:
-        from . import proof_lab as lab
-    else:
+    if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(lab, name)
+    from importlib import import_module
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)

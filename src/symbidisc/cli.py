@@ -199,7 +199,3 @@ def main(argv: list[str] | None = None) -> int:
     except (ArithmeticError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILED
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -80,8 +80,10 @@ def _lift_form(tau, a, s, p):
     den = 1.0 - ac * s + ac * ac * p
     try:
         mod = abs(den)
-    except OverflowError:  # a scalar den with a part near the largest float
-        raise OverflowError(f"the modulus of the denominator {den} overflows") from None
+    except OverflowError:  # a scalar den with a part near the largest float, or a NaN
+        if den == den:  # abs() of a NaN leaves errno as an earlier call set it
+            raise OverflowError(f"the modulus of the denominator {den} overflows") from None
+        mod = abs(den.real) + abs(den.imag)
     if isinstance(mod, float):
         smallest = mod
     else:
@@ -100,7 +102,11 @@ def _lift_form(tau, a, s, p):
 
 
 def apply_g2_via_roots(H: G2Automorphism, pt: SymPoint) -> SymPoint:
-    """Definitional route: extract the roots, map both, re-symmetrize."""
+    """Definitional route: extract the roots, map both, re-symmetrize.
+
+    apply_moebius floors each factor |1 - conj(a)*lam|, apply_g2 their product, at
+    DENOM_THRESHOLD: for a = 0.5 and roots 2 - 2e-10, 2 - 2e-5 only apply_g2 raises
+    PoleEncountered; this route returns SymPoint(1.29e10, 1.93e15)."""
     h = H.h
     r1, r2 = _roots(pt.s, pt.p)
     return symmetrize(apply_moebius(h, r1), apply_moebius(h, r2))

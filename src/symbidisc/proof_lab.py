@@ -20,9 +20,7 @@ complex128 arrays and returns a SymPoint of the same shape (wrap a scalar-only
 callable with np.vectorize; another shape raises PreconditionUnmet), so the torus
 grid and the royal sample, stacked, go through the map in one call. These fixed
 inputs are built once, when this module is imported: the stacked sample, views of
-its grid and royal parts, and the Cauchy-weight matrix, all read-only. Orbit
-sampling supplies the evidence-level companion: origin orbits stay on the royal
-variety, non-royal orbits stay off it.
+its grid and royal parts, and the Cauchy-weight matrix, all read-only.
 
 Everything here is seeded and deterministic; experiment results are pinned by
 (seed, count) alone.
@@ -31,16 +29,16 @@ Everything here is seeded and deterministic; experiment results are pinned by
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-# The scalar half, re-exported so that proof_lab.X keeps working for its public names.
-# The benchmark is a caller: perfbench/sections.py calls pl.commutator_experiment, and
-# perfbench/layers.py traces proof_lab.evaluate_candidate and weighted_form_extract.
+# The scalar half, re-exported so that proof_lab.X keeps working for its public names,
+# and orbit_sample, which lives in sampling. The benchmark is a caller: perfbench/sections.py
+# calls pl.commutator_experiment and pl.orbit_sample, perfbench/run.py pl.orbit_sample, and
+# perfbench/layers.py traces proof_lab.evaluate_candidate, weighted_form_extract and orbit_sample.
 from .candidates import (
     CERTIFY_TOL, DEGREE_CAP, CandidateMap, CommutatorReport, cauchy_bound_check,
     commutator_experiment, commutator_jacobian, evaluate_candidate, iterate_commutator,
@@ -48,8 +46,8 @@ from .candidates import (
 )
 from .errors import PreconditionUnmet
 from .g2_group import apply_g2, transport_to_origin
-from .sampling import _orbit_arrays, random_disc_points, rng_from_seed
-from .sym_geometry import ORIGIN, SymPoint, _box
+from .sampling import orbit_sample, random_disc_points, rng_from_seed
+from .sym_geometry import ORIGIN, SymPoint
 
 # Taylor coefficients are Cauchy integrals over the torus |s| = 0.5, |p| = 0.25,
 # sampled on a 16x16 grid. The torus lies inside the domain (its largest root
@@ -98,27 +96,8 @@ def _verdict(residual: float, sample: str) -> tuple[bool, float]:
 
 
 # ---------------------------------------------------------------------------
-# Orbits and Taylor extraction
+# Taylor extraction
 # ---------------------------------------------------------------------------
-
-def orbit_sample(pt: SymPoint, count: int, seed: int) -> list[SymPoint]:
-    """Images of pt under `count` seeded random group elements.
-
-    Orbits of the origin land on the royal variety (residual ~ 1e-15); orbits of a
-    non-royal point keep a strictly positive discriminant residual. The latter is
-    evidence, not proof, that the group action has more than one orbit.
-
-    All elements are drawn, checked and applied at once on complex128 arrays, by the
-    code that serves random_moebius, make_moebius and apply_g2 for one element. The
-    images match that one-at-a-time loop to rounding, not bit for bit.
-
-    Images are boxed by sym_geometry's _box, the C call tuple.__new__ that SymPoint(s, p)
-    ends in, bound once, which skips SymPoint's generated Python __new__: about 0.15 us
-    an image, as much as the array pass costs.
-    """
-    S, P = _orbit_arrays(pt, count, seed)
-    return list(map(_box, itertools.repeat(SymPoint), zip(S.tolist(), P.tolist())))
-
 
 _KEYS = [(j, k) for j in range(DEGREE_CAP + 1) for k in range(DEGREE_CAP // 2 + 1)
          if 0 < j + 2 * k <= DEGREE_CAP]  # sorted; (0, 0), the origin image, is checked apart

@@ -87,6 +87,15 @@ class TestApply:
             apply_g2_via_roots(lift(make_moebius(1, a)), pt)
         assert excinfo.type is ArithmeticError
 
+    def test_nan_denominator_after_an_overflow_is_not_named_an_overflow(self):
+        # CPython's abs() of a complex with a NaN part leaves errno as the caught
+        # overflow set it; the closed form's NaN den must still give a NaN image
+        H, pt = lift(make_moebius(-1, -0.5 + 0.5j)), SymPoint(complex("nan"), 0j)
+        with pytest.raises(OverflowError):
+            abs(complex(1.7e308, 1.7e308))
+        img = apply_g2(H, pt)
+        assert all(cmath.isnan(z) for z in img)
+
     def test_both_routes_agree_on_example(self):
         H = lift(make_moebius(1, 0.3j))
         pt = SymPoint(0.4, 0.1)

@@ -111,13 +111,18 @@ def test_drift_counts_a_flipped_verdict():
     assert "no map gave a report" in inproc_ab.format_drift(inproc_ab.drift([report], [KeyError()]))
 
 
-def _with(module_name: str, **kernels):
+def _with(module_name: str | None, **kernels):
     """symbidisc as inproc_ab's sections read it, with `kernels` in place of the same
-    names of its module `module_name`."""
+    names of its module `module_name`, or of the package root when that is None."""
     modules = {name: getattr(symbidisc, name)
                for name in ("disc_moebius", "g2_group", "sym_geometry")}
-    modules[module_name] = types.SimpleNamespace(**{**vars(modules[module_name]), **kernels})
-    return types.SimpleNamespace(normalize_and_extract=symbidisc.normalize_and_extract, **modules)
+    root = {"normalize_and_extract": symbidisc.normalize_and_extract,
+            "orbit_sample": symbidisc.orbit_sample}
+    if module_name is None:
+        root.update(kernels)
+    else:
+        modules[module_name] = types.SimpleNamespace(**{**vars(modules[module_name]), **kernels})
+    return types.SimpleNamespace(**root, **modules)
 
 
 def _residual_moved(pt):
@@ -130,15 +135,22 @@ def _image_moved(H, pt):
     return symbidisc.SymPoint(s, complex(math.nextafter(p.real, math.inf), p.imag))
 
 
+def _orbit_moved(pt, count, seed):
+    images = symbidisc.orbit_sample(pt, count, seed)
+    s, p = images[-1]
+    return images[:-1] + [symbidisc.SymPoint(s, complex(p.real, math.nextafter(p.imag, math.inf)))]
+
+
 @pytest.mark.parametrize("section,change", [
     ("membership", _with("sym_geometry", in_sigma2=_residual_moved)),
     ("apply", _with("g2_group", apply_g2_via_roots=_image_moved)),
-], ids=["membership", "apply"])
+    ("orbit", _with(None, orbit_sample=_orbit_moved)),
+], ids=["membership", "apply", "orbit"])
 def test_a_moved_last_bit_is_not_timed(capsys, monkeypatch, section, change):
     # one side's kernel moves the last bit of every output of one section
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     assert inproc_ab.compare("test", symbidisc, change) == 1
-    inputs = {"certify": 440, "membership": 10_000, "apply": 10_000}
+    inputs = {"certify": 440, "membership": 10_000, "apply": 10_000, "orbit": 50}
     assert capsys.readouterr().out.splitlines() == ["rev test, seed 11"] + [
         f"{name}: {n} inputs, {n if name == section else 0} outputs differ by float.hex"
         for name, n in inputs.items()]

@@ -453,7 +453,7 @@ class TestOrbit:
     @pytest.mark.parametrize("pt", [ORIGIN, SymPoint(0.5, 0), symmetrize(0.999, -0.998j)],
                              ids=["origin", "non_royal", "near_boundary"])
     def test_boxes_the_array_images_exactly(self, pt):
-        S, P = proof_lab._orbit_arrays(pt, 500, 42)
+        S, P = sampling._orbit_arrays(pt, 500, 42)
         images = orbit_sample(pt, 500, 42)
         assert all(type(q) is SymPoint and type(q.s) is complex and type(q.p) is complex
                    for q in images)

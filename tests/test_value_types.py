@@ -226,10 +226,16 @@ def test_proof_lab_names_load_on_first_access():
         "symbidisc.make_candidate",
         "assert 'symbidisc.candidates' in sys.modules, 'make_candidate did not load candidates'",
         "assert 'symbidisc.proof_lab' not in sys.modules, 'make_candidate loaded proof_lab'",
+        "orbit_sample = symbidisc.orbit_sample",
+        "assert 'symbidisc.sampling' in sys.modules, 'orbit_sample did not load sampling'",
+        "assert 'symbidisc.proof_lab' not in sys.modules, 'orbit_sample loaded proof_lab'",
+        "assert 'dataclasses' not in sys.modules, 'orbit_sample loaded dataclasses'",
+        "assert orbit_sample is symbidisc.sampling.orbit_sample",
         "from symbidisc import normalize_and_extract",
         "import symbidisc.proof_lab as pl",
         "assert normalize_and_extract is pl.normalize_and_extract",
         f"assert all(getattr(symbidisc, n) is getattr(pl, n) for n in {PROOF_LAB_EXPORTS!r})",
+        f"assert sorted(symbidisc._LAZY) == {sorted(PROOF_LAB_EXPORTS)!r}",
         "try:",
         "    symbidisc.no_such_name",
         "except AttributeError as exc:",

@@ -1,4 +1,4 @@
-"""In-process A/B of certify, membership and apply: the working tree against a parent.
+"""In-process A/B of certify, membership, apply and orbit: the working tree against a parent.
 
 Usage, from anywhere inside a git checkout of symbidisc:
 
@@ -8,7 +8,7 @@ Usage, from anywhere inside a git checkout of symbidisc:
 `unpack`) into a temporary directory, which is removed at the end, as the package
 `symbidisc_parent`; every import inside `src/` is relative, so it loads beside the
 working tree's `symbidisc` in the same interpreter. perfbench's `build_inputs(SEED)`
-draws the inputs of three sections, and each side boxes them with its own package:
+draws the inputs of four sections, and each side boxes them with its own package:
 - certify: each side rebuilds, with its own `lift`, `make_moebius` and `apply_g2`, the
   maps perfbench certifies (each seeded element as a G2Automorphism and as a black
   box, and each injected shear) and calls `normalize_and_extract` on each;
@@ -16,15 +16,18 @@ draws the inputs of three sections, and each side boxes them with its own packag
   the first POINTS points of the member cloud, as the side's own SymPoints;
 - apply: perfbench's apply step body, `apply_g2` and `apply_g2_via_roots` with the
   apply element rebuilt by the side's own `lift` and `make_moebius`, and the two
-  images' discrepancy, on each of the first POINTS points of the apply cloud.
+  images' discrepancy, on each of the first POINTS points of the apply cloud;
+- orbit: perfbench's orbit step body, the package root's `orbit_sample` of
+  `sizes.orbit_images` images for each orbit seed, of the base point and of the
+  origin alternately, as in perfbench's `geometry_steps`.
 
 The script first checks, section by section, that both sides give the same output
 for every input, by `float.hex` of every float in it (a report's every field; a
-region, margin, flag and residual; both images and their discrepancy), or the same
-exception type and message. It prints the number of outputs that differ in each
-section and, for certify, how far the reports moved: the number of maps whose
-verdict (identity_certified, royal_ok) or exception type changed and, for each
-numeric report field, the largest absolute difference. If any output differs, it
+region, margin, flag and residual; both images and their discrepancy; every orbit
+image), or the same exception type and message. It prints the number of outputs that
+differ in each section and, for certify, how far the reports moved: the number of
+maps whose verdict (identity_certified, royal_ok) or exception type changed and, for
+each numeric report field, the largest absolute difference. If any output differs, it
 does not time and exits 1. So only a change that keeps every output bit for bit is
 timed. The script then runs ROUNDS ABBA rounds: in each, for each section in turn,
 one pass over all its inputs on each side, then each side again in the reverse
@@ -111,6 +114,17 @@ def apply_step(pkg, H):
     return step
 
 
+def orbit_step(pkg, count: int):
+    """perfbench's orbit step body on one (point, seed), with pkg's package root's
+    orbit_sample: all `count` images, so that each is compared, not only counted."""
+    orbit_sample = pkg.orbit_sample
+
+    def step(item):
+        pt, seed = item
+        return orbit_sample(pt, count, seed)
+    return step
+
+
 def sections(pkg, inputs) -> dict:
     """Each section's (call, inputs) for pkg, in the order they are checked and timed,
     the inputs boxed by pkg's own types."""
@@ -119,21 +133,26 @@ def sections(pkg, inputs) -> dict:
     h = inputs.apply_element.h
     H = pkg.g2_group.lift(pkg.disc_moebius.make_moebius(h.tau, h.a))
 
+    SymPoint = pkg.sym_geometry.SymPoint
+    base, origin = SymPoint(inputs.base_point.s, inputs.base_point.p), SymPoint(0j, 0j)
+    orbits = [(origin if i % 2 else base, seed) for i, seed in enumerate(inputs.orbit_seeds)]
+
     def points(cloud):
-        return [pkg.sym_geometry.SymPoint(pt.s, pt.p) for pt in cloud[:POINTS]]
+        return [SymPoint(pt.s, pt.p) for pt in cloud[:POINTS]]
     return {"certify": (pkg.normalize_and_extract, certify_maps(pkg, elements, injected)),
             "membership": (membership_step(pkg), points(inputs.member_cloud)),
-            "apply": (apply_step(pkg, H), points(inputs.apply_cloud))}
+            "apply": (apply_step(pkg, H), points(inputs.apply_cloud)),
+            "orbit": (orbit_step(pkg, inputs.sizes.orbit_images), orbits)}
 
 
 def fingerprint(value):
-    """A report, or any part of it, with every float replaced by its float.hex; an
-    exception as its type name and message."""
+    """A report, an orbit's images, or any part of either, with every float replaced by
+    its float.hex; an exception as its type name and message."""
     if isinstance(value, Exception):
         return type(value).__name__, str(value)
     if dataclasses.is_dataclass(value):
         return {f.name: fingerprint(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return tuple(map(fingerprint, value))
     if isinstance(value, bool):
         return value
