@@ -56,15 +56,18 @@ def _largest(values):
 
 
 def apply_moebius(h: DiscAutomorphism, lam: complex) -> complex:
-    """Evaluate h at lam. Raises PoleEncountered where |1 - conj(a)*lam| < DENOM_THRESHOLD.
-
-    A NaN denominator, as a NaN lam gives, raises ArithmeticError.
-    """
+    """Evaluate h at lam. Raises PoleEncountered where |1 - conj(a)*lam| < DENOM_THRESHOLD,
+    and ArithmeticError where it is NaN, as for a NaN lam, whatever ran before."""
     a = h.a
     den = 1.0 - a.conjugate() * lam
-    # negated, so that a NaN denominator fails the test
-    if not abs(den) >= DENOM_THRESHOLD:
-        if abs(den) < DENOM_THRESHOLD:
+    try:
+        mod = abs(den)
+    except OverflowError:  # abs() of a NaN leaves errno as an earlier call set it
+        if den == den:
+            raise
+        mod = abs(den.real) + abs(den.imag)
+    if not mod >= DENOM_THRESHOLD:  # negated, so that a NaN denominator fails the test
+        if mod < DENOM_THRESHOLD:
             raise PoleEncountered(f"lam = {lam} is at the pole of the map")
         raise ArithmeticError(f"denominator {den} at lam = {lam} is not finite")
     return h.tau * (lam - a) / den

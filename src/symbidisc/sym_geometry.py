@@ -103,12 +103,18 @@ def in_g2(pt: SymPoint, tol: float = DEFAULT_TOL) -> MembershipVerdict:
 
 
 def in_sigma2(pt: SymPoint, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Royal-variety test. Returns (verdict, residual) with residual = |s**2 - 4p|;
-    a negative or NaN tol raises ParameterOutOfDomain, by the rule in_g2 applies."""
+    """Royal-variety test. Returns (verdict, residual) with residual = |s**2 - 4p|, NaN at a
+    NaN point; a negative or NaN tol raises ParameterOutOfDomain, by the rule in_g2 applies."""
     if not tol >= 0.0:  # else a royal point, whose residual can be 0.0, would fail
         raise ParameterOutOfDomain(f"tolerance {tol} is not >= 0")
     s = pt.s
-    residual = abs(s * s - pt.p * 4.0)
+    disc = s * s - pt.p * 4.0
+    try:
+        residual = abs(disc)
+    except OverflowError:  # abs() of a NaN leaves errno as an earlier call set it
+        if disc == disc:
+            raise
+        residual = abs(disc.real) + abs(disc.imag)
     member = residual <= tol and abs(s) / 2.0 < 1.0 + tol
     return member, residual
 

@@ -73,6 +73,18 @@ class TestApply:
             apply_moebius(make_moebius(1, 0.5), lam)
         assert excinfo.type is ArithmeticError
 
+    def test_nan_point_after_an_overflow_is_not_named_an_overflow(self):
+        # CPython's abs() of a complex with a NaN part leaves errno as the caught overflow
+        # set it; the NaN denominator is still named, and a true overflow still raises
+        h, nan = make_moebius(-1, -0.5 + 0.5j), complex("nan")  # both built before the overflow
+        with pytest.raises(OverflowError):  # |den| = 1.53e308 * sqrt(2)
+            apply_moebius(make_moebius(1, -0.9), complex(1.7e308, 1.7e308))
+        with pytest.raises(OverflowError):
+            abs(complex(1.7e308, 1.7e308))
+        with pytest.raises(ArithmeticError, match="^denominator .* is not finite$") as excinfo:
+            apply_moebius(h, nan)
+        assert excinfo.type is ArithmeticError
+
     def test_maps_disc_into_disc(self):
         rng = rng_from_seed(2024)
         for _ in range(10_000):

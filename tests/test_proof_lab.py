@@ -63,6 +63,17 @@ def shear(b, d):
 NAN = complex("nan")
 
 
+def at_origin(image):
+    """The identity, but image at the origin, the one entry of the sample with s = p = 0."""
+    def map_like(q):
+        s, p = q.s.copy(), q.p.copy()
+        origin = (s == 0) & (p == 0)
+        s[origin], p[origin] = image
+        return SymPoint(s, p)
+
+    return map_like
+
+
 def homogeneous(alpha, d, c):
     """Candidate (alpha*s, d*p + c*s**2): the rotation-commuting family."""
     return make_candidate({(1, 0): (alpha, 0), (0, 1): (0, d), (2, 0): (0, c)})
@@ -532,17 +543,12 @@ class TestFitCandidate:
                              ids=["both", "p_only", "s_only"])
     def test_rejects_nan_origin_image(self, image):
         # the identity on the grid, NaN at the origin: max() would let either NaN through
-        def map_like(q):
-            return SymPoint(*image) if np.ndim(q.s) == 0 else q
-
         with pytest.raises(PreconditionUnmet):
-            fit_candidate(map_like)
+            fit_candidate(at_origin(image))
 
     @pytest.mark.parametrize("bad", [NAN, complex("inf"), complex(0, float("-inf"))])
     def test_non_finite_grid_image_raises(self, bad):
         def map_like(q):
-            if np.ndim(q.s) == 0:
-                return q
             s = q.s.copy()
             s[7] = bad
             return SymPoint(s, q.p)
@@ -600,7 +606,7 @@ class TestFitCandidate:
         eps = 2e-15
         bound = 2 * eps * (1 + eps) + math.sqrt(5) * 2.0 ** -53 * (1 + eps) ** 2
         dft = np.fft.fft(np.eye(n))
-        readout = proof_lab._certify_inputs()[3]
+        readout = proof_lab._certify_inputs()[-1]
         for row, (j, k) in zip(readout, proof_lab._KEYS, strict=True):
             scale = n * n * rs ** j * rp ** k
             assert np.abs(row * scale - np.outer(dft[j], dft[k]).ravel()).max() <= bound
@@ -749,14 +755,10 @@ class TestPipeline:
     def test_non_finite_origin_image_raises(self, coordinate, bad):
         # the identity but at the origin; the transport used to take the blame, with
         # NotOnRoyalVariety "discriminant residual nan" (or inf)
-        image = SymPoint(bad, 0j) if coordinate == "s" else SymPoint(0j, bad)
-
-        def map_like(q):
-            return image if np.ndim(q.s) == 0 else q
-
+        image = (bad, 0j) if coordinate == "s" else (0j, bad)
         with pytest.raises(ArithmeticError,
                            match="^the map has a non-finite value at the origin$") as excinfo:
-            normalize_and_extract(map_like)
+            normalize_and_extract(at_origin(image))
         assert excinfo.type is ArithmeticError
 
     def test_origin_image_off_the_disc_is_named(self):
@@ -779,9 +781,10 @@ class TestPipeline:
 # ---------------------------------------------------------------------------
 
 def reference_royal_points(samples=64, seed=11):
-    """The royal points as the scalar loop drew them, one random_disc at a time."""
+    """The origin (lam = 0), then the royal points as the scalar loop drew them, one
+    random_disc at a time."""
     rng = rng_from_seed(seed)
-    lams = [random_disc(rng, 0.9) for _ in range(samples)]
+    lams = [0j] + [random_disc(rng, 0.9) for _ in range(samples)]
     return [SymPoint(2.0 * lam, lam * lam) for lam in lams]
 
 
@@ -840,9 +843,7 @@ def _pole(q):
 
 
 def constant_on_grid(q, exceptions):
-    """The royal point (1, 1/4) at every point, except exceptions[i](point i) on arrays."""
-    if np.ndim(q.s) == 0:
-        return SymPoint(1.0, 0.25)
+    """The royal point (1, 1/4) at every point, except exceptions[i](point i)."""
     s, p = np.full(q.s.shape, 1.0 + 0j), np.full(q.p.shape, 0.25 + 0j)
     for i, value in exceptions.items():
         image = value(SymPoint(q.s[i], q.p[i]))
@@ -862,10 +863,11 @@ class TestArrayPipeline:
             theta = rng.uniform(0.0, 2.0 * math.pi)
             loop.append(r * complex(math.cos(theta), math.sin(theta)))
         assert random_disc_points(rng_from_seed(11), 64, 0.9).tolist() == expected == loop
-        _, _, pts, _ = proof_lab._certify_inputs()
-        assert pts.s.tolist() == [2.0 * lam for lam in expected]
+        _, pts, _ = proof_lab._certify_inputs()  # the origin (lam = 0), then the draws
+        assert pts.s.tolist() == [0j] + [2.0 * lam for lam in expected]
+        assert pts.p[0] == 0j
         # numpy's complex product may round lam*lam differently in the last bit
-        assert max(abs(p - lam * lam) for p, lam in zip(pts.p.tolist(), expected)) <= 4e-16
+        assert max(abs(p - lam * lam) for p, lam in zip(pts.p[1:].tolist(), expected)) <= 4e-16
 
     @pytest.mark.parametrize("kind", list(PIPELINE_MAPS))
     def test_matches_per_point_reference(self, monkeypatch, kind):
@@ -896,20 +898,36 @@ class TestArrayPipeline:
         for map_like in PIPELINE_MAPS["injected"]:
             assert not normalize_and_extract(map_like).royal_ok
 
-    def test_map_called_twice(self):
+    @pytest.mark.parametrize("entry,sample", [
+        (normalize_and_extract, "_SAMPLE"), (fit_candidate, "_SAMPLE"), (force_c_zero, "_ROYAL"),
+    ], ids=lambda value: getattr(value, "__name__", value))
+    def test_map_called_once(self, entry, sample):
+        # the torus grid, the origin and the royal sample stacked, or the royal part alone,
+        # itself and not a copy; no entry point calls the map on a scalar
         calls = []
-        H = _seeded_elements(64, 1)[0]
+        H = lift(make_moebius(1j, 0j))  # fixes the origin, as fit_candidate needs
 
         def counting(q):
             calls.append(q)
             return apply_g2(H, q)
 
-        assert normalize_and_extract(counting).identity_certified
-        # the origin for the transport, then the torus grid and the royal sample stacked
-        assert len(calls) == 2
-        assert calls[0] == ORIGIN
-        assert calls[1] is proof_lab._SAMPLE
-        assert calls[1].s.shape == (proof_lab.TORUS_POINTS ** 2 + proof_lab.ROYAL_SAMPLES,)
+        entry(counting)
+        assert len(calls) == 1 and calls[0] is getattr(proof_lab, sample)
+        n = proof_lab.TORUS_POINTS ** 2
+        assert proof_lab._SAMPLE.s.shape == (n + 1 + proof_lab.ROYAL_SAMPLES,)
+
+    @pytest.mark.parametrize("entry", [normalize_and_extract, fit_candidate],
+                             ids=lambda entry: entry.__name__)
+    def test_array_only_map_certifies(self, entry):
+        # the identity, read through ndarray.copy, which a complex scalar lacks
+        def identity(q):
+            return SymPoint(q.s.copy(), q.p.copy())
+
+        result = entry(identity)
+        assert result == entry(lambda q: q)
+        if entry is normalize_and_extract:
+            assert result.identity_certified and result.origin_image == ORIGIN
+            assert type(result.origin_image.s) is type(result.origin_image.p) is complex
 
     @pytest.mark.parametrize("failure,message", [
         (_pole, "is a pole of the map"),
@@ -1018,11 +1036,11 @@ class TestArrayPipeline:
 
     def test_fixed_inputs_match_fresh_builds(self):
         # the module constants, built at import, against a fresh build
-        def arrays(inputs):  # s and p of the sample, grid and royal parts, then the weights
-            sample, grid, royal, readout = inputs
-            return [*sample, *grid, *royal, readout]
+        def arrays(inputs):  # s and p of the sample and its royal part, then the weights
+            sample, royal, readout = inputs
+            return [*sample, *royal, readout]
 
-        cached = (proof_lab._SAMPLE, proof_lab._GRID, proof_lab._ROYAL, proof_lab._READOUT)
+        cached = (proof_lab._SAMPLE, proof_lab._ROYAL, proof_lab._READOUT)
         fresh = proof_lab._certify_inputs()
         for a, b in zip(arrays(cached), arrays(fresh), strict=True):
             assert a.tobytes() == b.tobytes()
@@ -1041,29 +1059,30 @@ class TestArrayPipeline:
         for row, (j, k) in zip(readout, proof_lab._KEYS, strict=True):
             assert row.tobytes() == np.outer(rows_s[j], rows_p[k]).ravel().tobytes(), (j, k)
 
-    def test_grid_and_royal_parts_are_views_of_the_sample(self):
-        # read-only like the sample itself (test_fixed_inputs_match_fresh_builds)
-        sample, grid, royal, _ = proof_lab._certify_inputs()
+    def test_royal_part_is_a_view_of_the_sample_from_the_origin_on(self):
+        # read-only like the sample itself (test_fixed_inputs_match_fresh_builds); the
+        # origin, at entry n, is the sample's one point with s = p = 0
+        sample, royal, _ = proof_lab._certify_inputs()
         n = proof_lab.TORUS_POINTS ** 2
-        assert grid.s.shape == (n,) and royal.s.shape == (proof_lab.ROYAL_SAMPLES,)
-        for part, at in ((grid, slice(None, n)), (royal, slice(n, None))):
-            for whole, view in zip(sample, part):
-                assert np.shares_memory(whole, view)
-                assert view.tobytes() == whole[at].tobytes()
+        assert royal.s.shape == (proof_lab.ROYAL_SAMPLES + 1,)
+        for whole, view in zip(sample, royal):
+            assert np.shares_memory(whole, view)
+            assert view.tobytes() == whole[n:].tobytes()
+        assert np.flatnonzero((sample.s == 0) & (sample.p == 0)).tolist() == [n]
 
     @pytest.mark.parametrize("entry,honest,part,index", [
         (normalize_and_extract, PIPELINE_MAPS["black_box"][0], 0, 0),
         (normalize_and_extract, PIPELINE_MAPS["halving"][0], 0, proof_lab.TORUS_POINTS ** 2),
-        (fit_candidate, lift(make_moebius(1j, 0j)), 1, 0),
-        (force_c_zero, lift(make_moebius(1j, 0j)), 2, 0),
+        (fit_candidate, lift(make_moebius(1j, 0j)), 0, 0),
+        (force_c_zero, lift(make_moebius(1j, 0j)), 1, 0),
     ], ids=["torus_grid", "royal_points", "fit_candidate", "force_c_zero"])
     def test_map_writing_into_its_input_raises(self, entry, honest, part, index):
-        # normalize_and_extract passes the stacked sample, torus grid then royal
-        # points, fit_candidate its grid part and force_c_zero its royal part
+        # normalize_and_extract and fit_candidate pass the stacked sample, torus grid,
+        # origin then royal points, and force_c_zero its royal part, from the origin on
         before = entry(honest)
 
         def vandal(q):
-            if q is (proof_lab._SAMPLE, proof_lab._GRID, proof_lab._ROYAL)[part]:
+            if q is (proof_lab._SAMPLE, proof_lab._ROYAL)[part]:
                 q.s[index] = 0.0
                 q.p *= 2.0
             return honest(q)

@@ -290,6 +290,17 @@ class TestSigma2:
         member, residual = in_sigma2(SymPoint(1, 0))
         assert not member and residual == 1.0
 
+    def test_nan_point_after_an_overflow_is_not_named_an_overflow(self):
+        # CPython's abs() of a complex with a NaN part leaves errno as the caught overflow
+        # set it; a NaN point still reads as NaN, and a true overflow still raises
+        nan_point = SymPoint(complex("nan"), 0j)  # built before the overflow
+        with pytest.raises(OverflowError):  # s**2 - 4p = 1.7e308 * (1 + 1j)
+            in_sigma2(SymPoint(0j, complex(-4.25e307, -4.25e307)))
+        with pytest.raises(OverflowError):
+            abs(complex(1.7e308, 1.7e308))
+        member, residual = in_sigma2(nan_point)
+        assert not member and math.isnan(residual)
+
     def test_royal_param_examples(self):
         assert royal_param(SymPoint(0, 0)) == 0
         assert royal_param(SymPoint(1.0, 0.25)) == 0.5
