@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Mapping, NamedTuple
+from collections import namedtuple
+from collections.abc import Mapping
 
 from .disc_moebius import DENOM_THRESHOLD, _product, make_moebius
 from .errors import NotNormalized, NotWeightedHomogeneous, ParameterOutOfDomain, SingularJacobian
@@ -47,14 +48,14 @@ CERTIFY_TOL = 1e-8
 # Candidate maps: truncated polynomial self-maps of C^2 fixing the origin
 # ---------------------------------------------------------------------------
 
-class CandidateMap(NamedTuple):
-    """Polynomial map (S, P) with coefficient table {(j, k): (cS, cP)} on s**j * p**k.
+class CandidateMap(namedtuple("CandidateMap", "terms")):
+    """Polynomial map (S, P) with coefficient table terms = {(j, k): (cS, cP)} on s**j * p**k.
 
     Monomials respect the weighted degree bound j + 2k <= DEGREE_CAP and the
     constant term vanishes, so every candidate fixes the origin.
     """
 
-    terms: Mapping[tuple[int, int], tuple[complex, complex]]
+    __slots__ = ()
 
     def __call__(self, pt: SymPoint) -> SymPoint:
         return evaluate_candidate(self, pt)
@@ -166,14 +167,12 @@ def cauchy_bound_check(b: complex, tau: complex) -> tuple[int | None, float]:
     return math.floor(CAUCHY_BOUND / per_step) + 1, CAUCHY_BOUND
 
 
-class CommutatorReport(NamedTuple):
-    """Outcome of the growth experiment for one candidate and one rotation."""
+class CommutatorReport(namedtuple("CommutatorReport", "tau b jacobian_of_g n_star bound")):
+    """Outcome of the growth experiment for one candidate and one rotation: the rotation
+    tau, the corner entry b, the commutator's Jacobian2, n_star (an int, or None) and
+    the bound."""
 
-    tau: complex
-    b: complex
-    jacobian_of_g: Jacobian2
-    n_star: int | None
-    bound: float
+    __slots__ = ()
 
 
 def commutator_experiment(F: CandidateMap, tau: complex, n_max: int = 64) -> CommutatorReport:

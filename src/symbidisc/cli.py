@@ -133,19 +133,25 @@ def _cmd_commutator(args) -> int:
 def _count_from(low: int):
     """argparse type for an integer count of at least `low`."""
     def parse(text: str) -> int:
-        n = int(text)
-        if n < low:
-            raise argparse.ArgumentTypeError(f"{n} is below {low}")
-        return n
+        try:
+            n = int(text)
+            if n >= low:
+                return n
+        except ValueError:  # not an integer
+            pass
+        raise argparse.ArgumentTypeError(f"{text} is not an integer >= {low}")
     return parse
 
 
 def _tolerance(text: str) -> float:
     """argparse type for a finite tolerance of at least 0."""
-    tol = float(text)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"{text} is not a finite tolerance >= 0")
-    return tol
+    try:
+        tol = float(text)
+        if math.isfinite(tol) and tol >= 0.0:
+            return tol
+    except ValueError:  # not a number
+        pass
+    raise argparse.ArgumentTypeError(f"{text} is not a finite tolerance >= 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:

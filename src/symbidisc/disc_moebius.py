@@ -10,7 +10,7 @@ construction.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import ParameterOutOfDomain, PoleEncountered
 
@@ -22,11 +22,10 @@ TAU_MODULUS_SLACK = 1e-6
 DENOM_THRESHOLD = 1e-14
 
 
-class DiscAutomorphism(NamedTuple):
+class DiscAutomorphism(namedtuple("DiscAutomorphism", "tau a")):
     """Canonical parameters of lam -> tau*(lam - a)/(1 - conj(a)*lam)."""
 
-    tau: complex
-    a: complex
+    __slots__ = ()
 
     def __call__(self, lam: complex) -> complex:
         return apply_moebius(self, lam)

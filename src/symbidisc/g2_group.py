@@ -14,7 +14,7 @@ criterion (tests/test_sym_geometry.py::TestAglerYoung).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .disc_moebius import (
     A_MODULUS_LIMIT,
@@ -29,22 +29,19 @@ from .errors import NotOnRoyalVariety, PoleEncountered
 from .sym_geometry import DEFAULT_TOL, SymPoint, _box, _roots, royal_param, symmetrize
 
 
-class G2Automorphism(NamedTuple):
+class G2Automorphism(namedtuple("G2Automorphism", "h")):
     """Lift of a disc automorphism; the wrapped h determines the map completely."""
 
-    h: DiscAutomorphism
+    __slots__ = ()
 
     def __call__(self, pt: SymPoint) -> SymPoint:
         return apply_g2(self, pt)
 
 
-class Jacobian2(NamedTuple):
+class Jacobian2(namedtuple("Jacobian2", "m11 m12 m21 m22")):
     """Complex 2x2 Jacobian, rows indexed by output (S, P), columns by input (s, p)."""
 
-    m11: complex
-    m12: complex
-    m21: complex
-    m22: complex
+    __slots__ = ()
 
 
 def lift(h: DiscAutomorphism) -> G2Automorphism:

@@ -10,14 +10,10 @@ from __future__ import annotations
 
 import cmath
 import json
-from typing import TYPE_CHECKING, Any
 
 from .disc_moebius import DiscAutomorphism, make_moebius
 from .g2_group import G2Automorphism, Jacobian2, lift
 from .sym_geometry import MembershipVerdict, SymPoint
-
-if TYPE_CHECKING:  # candidates is imported only by the decoder that needs it
-    from .candidates import CandidateMap, CommutatorReport
 
 
 def complex_to_json(z: complex) -> dict:
@@ -25,7 +21,7 @@ def complex_to_json(z: complex) -> dict:
     return {"re": z.real + 0.0, "im": z.imag + 0.0}
 
 
-def _fields(obj: Any, name: str, /, *required: str, **optional: Any) -> list:
+def _fields(obj: object, name: str, /, *required: str, **optional: object) -> list:
     """obj's values of the required keys, then of the optional keys or their defaults."""
     if not isinstance(obj, dict) or not set(required) <= obj.keys():
         keys = " and ".join(map(repr, required))
@@ -36,7 +32,7 @@ def _fields(obj: Any, name: str, /, *required: str, **optional: Any) -> list:
     return [*map(obj.__getitem__, required), *map(obj.get, optional, optional.values())]
 
 
-def complex_from_json(obj: Any) -> complex:
+def complex_from_json(obj: object) -> complex:
     re, im = _fields(obj, "complex value", re=0.0, im=0.0) if isinstance(obj, dict) else (obj, 0.0)
     # each part is a JSON number: float() would read "0.5" and true, and fail on null
     if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in (re, im)):
@@ -54,7 +50,7 @@ def moebius_to_json(h: DiscAutomorphism) -> dict:
     return {"tau": complex_to_json(h.tau), "a": complex_to_json(h.a)}
 
 
-def moebius_from_json(obj: Any) -> DiscAutomorphism:
+def moebius_from_json(obj: object) -> DiscAutomorphism:
     tau, a = _fields(obj, "disc automorphism", "tau", "a")
     return make_moebius(complex_from_json(tau), complex_from_json(a))
 
@@ -63,7 +59,7 @@ def sympoint_to_json(pt: SymPoint) -> dict:
     return {"s": complex_to_json(pt.s), "p": complex_to_json(pt.p)}
 
 
-def sympoint_from_json(obj: Any) -> SymPoint:
+def sympoint_from_json(obj: object) -> SymPoint:
     s, p = _fields(obj, "point", "s", "p")
     return SymPoint(complex_from_json(s), complex_from_json(p))
 
@@ -72,7 +68,7 @@ def g2_to_json(H: G2Automorphism) -> dict:
     return {"h": moebius_to_json(H.h)}
 
 
-def g2_from_json(obj: Any) -> G2Automorphism:
+def g2_from_json(obj: object) -> G2Automorphism:
     (h,) = _fields(obj, "group element", "h")
     return lift(moebius_from_json(h))
 
@@ -88,7 +84,7 @@ def jacobian_to_json(J: Jacobian2) -> list:
     ]
 
 
-def candidate_from_json(obj: Any) -> CandidateMap:
+def candidate_from_json(obj: object) -> CandidateMap:
     from .candidates import DEGREE_CAP, make_candidate
 
     terms, cap = _fields(obj, "candidate", "terms", degree_cap=DEGREE_CAP)
@@ -106,7 +102,7 @@ def candidate_from_json(obj: Any) -> CandidateMap:
     return make_candidate(table)
 
 
-def _exponent(obj: Any) -> int:
+def _exponent(obj: object) -> int:
     # int() would truncate 1.7 to 1 and read true as 1
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ValueError(f"expected an integer, got {obj!r}")
@@ -123,6 +119,6 @@ def report_to_json(r: CommutatorReport) -> dict:
     }
 
 
-def dumps(obj: Any) -> str:
+def dumps(obj: object) -> str:
     """One-line compact JSON; a non-finite float raises ValueError instead of printing NaN."""
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)

@@ -8,7 +8,7 @@ variety is its double-root locus (2*lam, lam**2).
 from __future__ import annotations
 
 import cmath
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import NotOnRoyalVariety, ParameterOutOfDomain
 
@@ -16,28 +16,28 @@ from .errors import NotOnRoyalVariety, ParameterOutOfDomain
 DEFAULT_TOL = 1e-9
 
 
-class SymPoint(NamedTuple):
-    """A point of C^2 in (sum, product) coordinates.
+class SymPoint(namedtuple("SymPoint", "s p")):
+    """A point (s, p) of C^2 in (sum, product) coordinates.
 
-    Construction checks nothing (a NamedTuple cannot override __new__), so the
-    per-point producers apply_g2, symmetrize and orbit_sample box with _box(SymPoint,
+    Construction checks nothing, and no value type defines __new__ (a test pins it), so
+    the per-point producers apply_g2, symmetrize and orbit_sample box with _box(SymPoint,
     (s, p)), the C call tuple.__new__ that SymPoint(s, p) ends in, bound once.
     """
 
-    s: complex
-    p: complex
+    __slots__ = ()
 
 
-class RootPair(NamedTuple):
+class RootPair(namedtuple("RootPair", "first second")):
     """Unordered root pair stored lexicographically by (real, imag)."""
 
-    first: complex
-    second: complex
+    __slots__ = ()
 
 
-class MembershipVerdict(NamedTuple):
-    region: str  # "interior" | "boundary" | "exterior"
-    margin: float  # 1 - max(|root|); positive inside, negative outside
+class MembershipVerdict(namedtuple("MembershipVerdict", "region margin")):
+    """region is "interior", "boundary" or "exterior"; margin = 1 - max(|root|),
+    positive inside and negative outside."""
+
+    __slots__ = ()
 
 
 ORIGIN = SymPoint(0j, 0j)

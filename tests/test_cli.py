@@ -394,6 +394,20 @@ UNKNOWN_KEY = {
 
 
 class TestInputErrors:
+    @pytest.mark.parametrize("argv,argument,expected", [
+        (("orbit", point(0, 0), "--samples", "1.5"), "--samples", "1.5 is not an integer >= 0"),
+        (("commutator", IDENTITY_CANDIDATE, "--tau", "-1", "--n-max", "x"), "--n-max",
+         "x is not an integer >= 1"),
+        (("membership", point(0, 0), "--tol", "abc"), "--tol",
+         "abc is not a finite tolerance >= 0"),
+    ], ids=["samples", "n_max", "tol"])
+    def test_non_number_names_what_is_expected(self, capsys, argv, argument, expected):
+        # argparse names the type function when it raises a bare ValueError
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err.startswith(f"usage: symbidisc {argv[0]} ")
+        assert err.endswith(f"\nsymbidisc {argv[0]}: error: argument {argument}: {expected}\n")
+
     @pytest.mark.parametrize("stdin", [False, True], ids=["argv", "stdin"])
     @pytest.mark.parametrize("text", ["{not json", "[]", None],
                              ids=["malformed", "rejected", "unknown_key"])
@@ -485,17 +499,21 @@ def test_scalar_commands_do_not_load_the_proof_lab(capsys):
     assert run(capsys, "commutator", candidate, "--tau", tau) == (4, lines[4], "")
 
 
+# numpy 2.x imports typing itself, so typing is absent only from the scalar commands
 @pytest.mark.parametrize("argv,loaded,absent", [
-    (["membership", point(0.9, 0.2)], [], LAB_AND_NUMPY),
-    (["apply", IDENTITY_AUTO, point(0.8, 0.16)], [], LAB_AND_NUMPY),
-    (["transport", point(1.0, 0.25)], [], LAB_AND_NUMPY),
+    (["membership", point(0.9, 0.2)], [], LAB_AND_NUMPY + ["typing"]),
+    (["apply", IDENTITY_AUTO, point(0.8, 0.16)], [], LAB_AND_NUMPY + ["typing"]),
+    (["transport", point(1.0, 0.25)], [], LAB_AND_NUMPY + ["typing"]),
     (["commutator", SHEAR_CANDIDATE, "--tau", "-1"], ["symbidisc.candidates"],
-     ["symbidisc.proof_lab", "symbidisc.sampling", "dataclasses", "inspect", "numpy"]),
+     ["symbidisc.proof_lab", "symbidisc.sampling", "dataclasses", "inspect", "numpy",
+      "typing"]),
     (["orbit", point(0.5, 0), "--samples", "10"], ["symbidisc.sampling", "numpy"],
      ["symbidisc.proof_lab", "dataclasses"]),
 ], ids=["membership", "apply", "transport", "commutator", "orbit"])
 def test_each_command_loads_only_what_it_needs(argv, loaded, absent):
-    # one fresh interpreter per command, so that no other command's imports count
+    # one fresh interpreter per command, so that no other command's imports count; -S
+    # skips the site hooks, which may preload a module and so hide or fake a load, and
+    # numpy's own directory stands in for site-packages on the path
     script = "\n".join([
         "import sys",
         "from symbidisc.cli import main",
@@ -503,8 +521,9 @@ def test_each_command_loads_only_what_it_needs(argv, loaded, absent):
         f"print([name for name in {loaded + absent!r} if name in sys.modules])",
         "sys.exit(code)",
     ])
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+    path = [Path(__file__).resolve().parents[1] / "src", Path(np.__file__).resolve().parents[1]]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, path))}
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[-1] == repr(loaded)

@@ -1,9 +1,11 @@
-"""The value types' contract, guards that keep dataclasses and the proof lab off the
-import path, and a guard that keeps each float constant of the package defined once.
+"""The value types' contract, guards that keep typing, dataclasses and the proof lab off
+the import path, and a guard that keeps each float constant of the package defined once.
 
-The point and group value types are typing.NamedTuples: immutable, without a
-__dict__, and printed as Name(field=value, ...). Error messages embed that repr, so
-it is pinned here on one seeded instance of each type.
+The point and group value types are collections.namedtuple subclasses with
+__slots__ = (): immutable, without a __dict__, and printed as Name(field=value, ...).
+Error messages embed that repr, so it is pinned here on one seeded instance of each
+type. None of them defines __new__, so the per-point kernels' _box gives the value
+that the constructor gives; a test pins that too.
 """
 
 import ast
@@ -108,8 +110,14 @@ def test_replace_builds_a_new_value():
 
 # ---------------------------------------------------------------------------
 # The per-point kernels box their results with tuple.__new__, the C call that a
-# NamedTuple's generated __new__ ends in, and so give the values it would give
+# namedtuple's generated __new__ ends in, and so give the values it would give
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(REPRS))
+def test_value_type_keeps_the_generated_new(name):
+    # a __new__ of its own would make _box(cls, fields) differ from cls(*fields)
+    assert "__new__" not in vars(type(seeded_values()[name]))
 
 
 def root_cloud(count: int = 100, seed: int = 2020) -> list:
@@ -170,17 +178,29 @@ def test_kernel_values_behave_as_constructed_ones(name):
 
 
 # ---------------------------------------------------------------------------
-# Guard: dataclasses, which pulls in inspect, stays out of the scalar import path
+# Guard: typing, and dataclasses, which pulls in inspect, stay out of the scalar
+# import path
 # ---------------------------------------------------------------------------
 
 def parsed_modules() -> dict:
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
-def imports_dataclasses(node) -> bool:
+def imports_module(node, module: str) -> bool:
     if isinstance(node, ast.Import):
-        return any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
-    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+        return any(alias.name.split(".")[0] == module for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == module
+
+
+def importers_of(module: str) -> set:
+    return {name for name, tree in parsed_modules().items()
+            if any(imports_module(node, module) for node in ast.walk(tree))}
+
+
+def test_no_module_imports_typing():
+    # annotations stay unevaluated under `from __future__ import annotations`, so the
+    # ABCs come from collections.abc and the value types from collections.namedtuple
+    assert importers_of("typing") == set()
 
 
 def is_dataclass_decorator(node) -> bool:
@@ -190,9 +210,7 @@ def is_dataclass_decorator(node) -> bool:
 
 
 def test_only_proof_lab_imports_dataclasses():
-    importers = {name for name, tree in parsed_modules().items()
-                 if any(imports_dataclasses(node) for node in ast.walk(tree))}
-    assert importers == {"proof_lab"}
+    assert importers_of("dataclasses") == {"proof_lab"}
 
 
 def test_pipeline_report_is_the_only_dataclass():
@@ -263,14 +281,11 @@ def imports_proof_lab(node) -> bool:
 
 
 def import_time_statements(body):
-    """The statements run on import: all but function bodies and `if TYPE_CHECKING:`."""
+    """The statements run on import: all but function bodies."""
     for node in body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         yield node
-        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
-            yield from import_time_statements(node.orelse)
-            continue
         for field in ("body", "orelse", "finalbody", "handlers"):
             yield from import_time_statements(getattr(node, field, []))
 
@@ -290,13 +305,13 @@ def test_proof_lab_guard_sees_only_import_time_statements():
         "absolute": "import symbidisc.proof_lab as pl",
         "from_package": "from . import proof_lab",
         "class_body": "class A:\n    from .proof_lab import DEGREE_CAP",
-        "else_branch": "if TYPE_CHECKING:\n    pass\nelse:\n    from .proof_lab import X",
+        "else_branch": "if flag:\n    pass\nelse:\n    from .proof_lab import X",
+        "if_branch": "if flag:\n    from .proof_lab import CandidateMap",
         "in_function": "def f():\n    from .proof_lab import make_candidate",
-        "type_checking": "if TYPE_CHECKING:\n    from .proof_lab import CandidateMap",
         "other_module": "from .g2_group import lift",
     }.items()}
     assert module_level_proof_lab_importers(trees) == {
-        "top", "absolute", "from_package", "class_body", "else_branch"}
+        "top", "absolute", "from_package", "class_body", "else_branch", "if_branch"}
 
 
 # ---------------------------------------------------------------------------
