@@ -98,13 +98,8 @@ def evaluate_candidate(F: CandidateMap, pt: SymPoint) -> SymPoint:
 
 def origin_jacobian(F: CandidateMap) -> Jacobian2:
     """Exact coefficient readout of F'(0, 0); no differencing involved."""
-    zero = (0j, 0j)
-    return Jacobian2(
-        F.terms.get((1, 0), zero)[0],
-        F.terms.get((0, 1), zero)[0],
-        F.terms.get((1, 0), zero)[1],
-        F.terms.get((0, 1), zero)[1],
-    )
+    (dS_ds, dP_ds), (dS_dp, dP_dp) = (F.terms.get(key, (0j, 0j)) for key in ((1, 0), (0, 1)))
+    return Jacobian2(dS_ds, dS_dp, dP_ds, dP_dp)
 
 
 # ---------------------------------------------------------------------------

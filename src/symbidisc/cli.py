@@ -130,28 +130,21 @@ def _cmd_commutator(args) -> int:
     return 0 if report.n_star is None else 4
 
 
-def _count_from(low: int):
-    """argparse type for an integer count of at least `low`."""
-    def parse(text: str) -> int:
+def _at_least(convert, low: int, noun: str):
+    """argparse type for a finite number that `convert` reads, of at least `low`."""
+    def parse(text: str):
+        reason = f"is not {noun} >= {low}"
         try:
-            n = int(text)
-            if n >= low:
-                return n
-        except ValueError:  # not an integer
-            pass
-        raise argparse.ArgumentTypeError(f"{text} is not an integer >= {low}")
+            value = convert(text)
+            if low <= value < math.inf:  # false for NaN and +-inf
+                return value
+        except ValueError:  # not such a number; int() reads at most 4,300 digits
+            if text.strip().removeprefix("+").isdecimal():
+                reason = "has too many digits"
+        if len(text) > 40:  # echo a bounded prefix of an over-long argument
+            text = f"{text[:40]}... ({len(text):,} characters)"
+        raise argparse.ArgumentTypeError(f"{text} {reason}")
     return parse
-
-
-def _tolerance(text: str) -> float:
-    """argparse type for a finite tolerance of at least 0."""
-    try:
-        tol = float(text)
-        if math.isfinite(tol) and tol >= 0.0:
-            return tol
-    except ValueError:  # not a number
-        pass
-    raise argparse.ArgumentTypeError(f"{text} is not a finite tolerance >= 0")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,10 +158,12 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     point = _json(sympoint_from_json)
+    tolerance = _at_least(float, 0, "a finite tolerance")
+    count = _at_least(int, 0, "an integer")
 
     p = add("membership", _cmd_membership, "classify a point against the domain")
     p.add_argument("point", type=point, help="point JSON (or '-' for stdin)")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
 
     p = add("apply", _cmd_apply, "apply a group element to a point, with cross-route check")
     p.add_argument("automorphism", type=_json(g2_from_json),
@@ -177,12 +172,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("transport", _cmd_transport, "group element sending a royal point to the origin")
     p.add_argument("point", type=point, help="point JSON (or '-' for stdin)")
-    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=tolerance, default=DEFAULT_TOL)
 
     p = add("orbit", _cmd_orbit, "images of a point under seeded random group elements")
     p.add_argument("point", type=point, help="point JSON (or '-' for stdin)")
-    p.add_argument("--seed", type=_count_from(0), default=42)
-    p.add_argument("--samples", type=_count_from(0), default=1000)
+    p.add_argument("--seed", type=count, default=42)
+    p.add_argument("--samples", type=count, default=1000)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = add("commutator", _cmd_commutator, "rotation-commutator growth experiment")
@@ -190,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="candidate map JSON (or '-' for stdin)")
     p.add_argument("--tau", type=_json(_rotation_from_json), required=True,
                    help="unit-modulus rotation, JSON complex")
-    p.add_argument("--n-max", type=_count_from(1), default=64)
+    p.add_argument("--n-max", type=_at_least(int, 1, "an integer"), default=64)
 
     return parser
 

@@ -2,10 +2,10 @@
 
 Every automorphism of the open unit disc E is h(lam) = tau * (lam - a) / (1 - conj(a)*lam)
 with |tau| = 1 and |a| < 1, and the pair (tau, a) is unique: a = h^-1(0) and tau fixes
-the rotation. Composition and inversion are computed through the 2x2 matrix
-representative [[tau, -tau*a], [-conj(a), 1]] acting projectively, then re-canonicalized,
-so results stay in (tau, a) form and |tau| is renormalized to exactly 1 on every
-construction.
+the rotation. Composition goes through the 2x2 matrix representative
+[[tau, -tau*a], [-conj(a), 1]] acting projectively, then is re-canonicalized; inversion
+uses the closed form (conj(tau), -tau*a). Results stay in (tau, a) form, and |tau| is
+renormalized to exactly 1 on every construction.
 """
 
 from __future__ import annotations
@@ -72,16 +72,6 @@ def apply_moebius(h: DiscAutomorphism, lam: complex) -> complex:
     return h.tau * (lam - a) / den
 
 
-def _as_matrix(h: DiscAutomorphism) -> tuple[complex, complex, complex, complex]:
-    # Row-major (A, B, C, D) for lam -> (A*lam + B)/(C*lam + D).
-    return h.tau, -h.tau * h.a, -h.a.conjugate(), 1.0 + 0j
-
-
-def _from_matrix(A: complex, B: complex, C: complex, D: complex) -> DiscAutomorphism:
-    # For a genuine disc automorphism A and D never vanish: tau = A/D, a = -B/A.
-    return make_moebius(A / D, -B / A)
-
-
 def _product(X: tuple, Y: tuple) -> tuple[complex, complex, complex, complex]:
     """Product X @ Y of 2x2 matrices held as row-major 4-tuples (A, B, C, D)."""
     a1, b1, c1, d1 = X
@@ -90,8 +80,12 @@ def _product(X: tuple, Y: tuple) -> tuple[complex, complex, complex, complex]:
 
 
 def compose(h: DiscAutomorphism, g: DiscAutomorphism) -> DiscAutomorphism:
-    """Canonical form of h o g (apply g first)."""
-    return _from_matrix(*_product(_as_matrix(h), _as_matrix(g)))
+    """Canonical form of h o g (apply g first), through the product of the matrices
+    (A, B, C, D) = (tau, -tau*a, -conj(a), 1) of lam -> (A*lam + B)/(C*lam + D).
+    For a genuine disc automorphism A and D never vanish: tau = A/D, a = -B/A."""
+    A, B, _, D = _product((h.tau, -h.tau * h.a, -h.a.conjugate(), 1.0 + 0j),
+                          (g.tau, -g.tau * g.a, -g.a.conjugate(), 1.0 + 0j))
+    return make_moebius(A / D, -B / A)
 
 
 def invert(h: DiscAutomorphism) -> DiscAutomorphism:

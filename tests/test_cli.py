@@ -400,7 +400,12 @@ class TestInputErrors:
          "x is not an integer >= 1"),
         (("membership", point(0, 0), "--tol", "abc"), "--tol",
          "abc is not a finite tolerance >= 0"),
-    ], ids=["samples", "n_max", "tol"])
+        # an over-long number is echoed in part; int() refuses more than 4,300 digits
+        (("orbit", point(0, 0), "--samples", "1" * 5_000), "--samples",
+         f"{'1' * 40}... (5,000 characters) has too many digits"),
+        (("membership", point(0, 0), "--tol", "1" * 500), "--tol",
+         f"{'1' * 40}... (500 characters) is not a finite tolerance >= 0"),
+    ], ids=["samples", "n_max", "tol", "samples_too_long", "tol_too_long"])
     def test_non_number_names_what_is_expected(self, capsys, argv, argument, expected):
         # argparse names the type function when it raises a bare ValueError
         code, out, err = run(capsys, *argv)
