@@ -43,6 +43,10 @@ SHEAR_CANDIDATE = json.dumps({
     "degree_cap": 4,
     "terms": [{"j": 0, "k": 1, "S": 1, "P": 2}, {"j": 1, "k": 0, "S": 1, "P": 0}],
 })
+# origin Jacobian [[1 + 1e-9, 0.5], [1e-9 i, 0.5]], inside commutator_jacobian's tolerance
+NEAR_NORMAL_CANDIDATE = (
+    '{"terms":[{"j":1,"k":0,"S":{"re":1.000000001,"im":0},"P":{"re":0,"im":0.000000001}},'
+    '{"j":0,"k":1,"S":{"re":0.5,"im":0},"P":{"re":0.5,"im":0}}]}')
 
 
 class TestMembership:
@@ -292,6 +296,29 @@ class TestCommutator:
         assert (code, out) == (65, "")
         assert err == ("error: origin Jacobian Jacobian2(m11=0j, m12=0j, m21=0j, m22=0j) "
                        "is not of the form [[1, b], [0, d]]\n")
+
+    @pytest.mark.parametrize("n_max", ["64", "1000000"])
+    def test_jacobian_within_the_normalized_tolerance_prints_its_report(self, capsys, n_max):
+        # m11 and m21 are 1e-9 off the normal form, inside CERTIFY_TOL: the drift check
+        # iterates the normal form's commutator, and the report keeps J's own
+        code, out, err = run(capsys, "commutator", NEAR_NORMAL_CANDIDATE,
+                             "--tau", '{"re":0,"im":1}', "--n-max", n_max)
+        assert (code, err) == (4, "")
+        payload = json.loads(out)
+        assert payload["n_star"] == 3 and payload["b"] == {"re": 0.5, "im": 0.0}
+        assert payload["jacobian_of_G"][1][0] == {"re": 2.000000002e-09,
+                                                  "im": -1.9999999980000002e-09}
+
+    @pytest.mark.parametrize("entry", ["S", "P"])
+    def test_jacobian_beyond_the_normalized_tolerance_exits_65(self, capsys, entry):
+        # 2e-8 off in m11 (the s-coefficient of S) or in m21 (that of P)
+        linear = {"S": 1, "P": 0}
+        linear[entry] += 2e-8
+        cand = json.dumps({"terms": [{"j": 1, "k": 0, **linear},
+                                     {"j": 0, "k": 1, "S": 0.5, "P": 0.5}]})
+        code, out, err = run(capsys, "commutator", cand, "--tau", '{"re":0,"im":1}')
+        assert (code, out) == (65, "")
+        assert err.startswith("error: origin Jacobian") and "is not of the form" in err
 
     @pytest.mark.parametrize("cap", [{"degree_cap": 4}, {}], ids=["cap", "no_cap"])
     def test_output_bytes_are_pinned(self, capsys, cap):

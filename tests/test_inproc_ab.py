@@ -154,3 +154,57 @@ def test_a_moved_last_bit_is_not_timed(capsys, monkeypatch, section, change):
     assert capsys.readouterr().out.splitlines() == ["rev test, seed 11"] + [
         f"{name}: {n} inputs, {n if name == section else 0} outputs differ by float.hex"
         for name, n in inputs.items()]
+
+
+def test_cli_inputs_are_every_scalar_kind_and_one_orbit(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    inputs = importlib.import_module("workload_inputs").build_inputs(inproc_ab.SEED)
+    argvs = inproc_ab.cli_argvs(inputs)
+    assert [argv[0] for argv in argvs] == ["membership"] * 3 + [
+        "apply", "transport", "transport", "commutator", "commutator", "orbit"]
+    assert argvs[-1] == inputs.cli_orbit[0]
+
+
+def _trees(tmp_path, edit=None):
+    """The parent's and the change's cli trees, both copied from the working tree; `edit`
+    (old, new) replaces one string in the change's cli.py."""
+    package = ROOT / "src" / "symbidisc"
+    parent = inproc_ab.cli_tree(package, tmp_path / "parent")
+    change = inproc_ab.cli_tree(package, tmp_path / "change")
+    if edit:
+        source = change / "symbidisc" / "cli.py"
+        text = source.read_text()
+        assert text.count(edit[0]) == 1
+        source.write_text(text.replace(*edit))
+    return parent, change
+
+
+@pytest.mark.parametrize("edit", [
+    ('CSV_ROW = "%.17g,', 'CSV_ROW = "%.16g,'),  # the orbit's stdout
+    ("        return 3\n", "        return 5\n"),  # transport's exit code off the variety
+], ids=["stdout", "exit_code"])
+def test_a_changed_cli_output_is_not_timed(capsys, monkeypatch, tmp_path, edit):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(inproc_ab, "POINTS", 100)
+    assert inproc_ab.compare("test", symbidisc, symbidisc, _trees(tmp_path, edit)) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:-1] == [f"{name}: {n} inputs, 0 outputs differ by float.hex" for name, n in
+                           {"certify": 440, "membership": 100, "apply": 100, "orbit": 50}.items()]
+    assert lines[-1] == "cli: 9 inputs, 1 outputs differ by exit code and stdout"
+
+
+def test_cli_section_is_timed_by_its_processes_in_its_own_rounds(capsys, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    for name, value in {"POINTS": 100, "ROUNDS": 2, "CLI_ROUNDS": 1, "CLI_SCALAR": 2}.items():
+        monkeypatch.setattr(inproc_ab, name, value)
+    assert inproc_ab.compare("test", symbidisc, symbidisc, _trees(tmp_path)) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+               if line.startswith("{")]
+    assert [r["section"] for r in records] == ["certify", "membership", "apply", "orbit", "cli"]
+    assert [r["rounds"] for r in records] == [2, 2, 2, 2, 1]
+    cli = records[-1]
+    # two scalar commands and one orbit, twice on each side; each process's CPU time,
+    # interpreter start and imports included, is above 10 ms, far more than this
+    # thread spends starting and waiting for it
+    assert cli["calls_per_round"] == 6
+    assert cli["parent_us"] > 10_000 and cli["change_us"] > 10_000

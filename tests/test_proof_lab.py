@@ -305,6 +305,26 @@ class TestCommutatorExperiment:
         report = commutator_experiment(fitted, 1j)
         assert report.n_star is None and abs(report.b) <= 1e-8
 
+    @pytest.mark.parametrize("n_max", [64, 10**4, 10**6])
+    def test_jacobians_inside_the_tolerance_pass_the_drift_check(self, n_max):
+        # m11 and m21 off the normal form by up to 0.9 CERTIFY_TOL in a seeded phase; the
+        # drift check iterates the normal form, and the report keeps J's own commutator
+        rng = np.random.default_rng(46)
+        tol = proof_lab.CERTIFY_TOL
+        for _ in range(50):
+            b, d = rng.random(2) + 1j * rng.random(2)
+            e11, e21 = 0.9 * tol * np.exp(2j * np.pi * rng.random(2))
+            F = make_candidate({(1, 0): (1 + e11, e21), (0, 1): (b, d)})
+            report = commutator_experiment(F, 1j, n_max)
+            assert report.jacobian_of_g == commutator_jacobian(origin_jacobian(F), 1j)
+            assert report.n_star == math.floor(2 / (abs(b) * abs(1j - 1))) + 1
+
+    @pytest.mark.parametrize("linear", [(1 + 2e-8, 0), (1, 2e-8j)], ids=["m11", "m21"])
+    def test_jacobian_beyond_the_tolerance_is_not_normalized(self, linear):
+        F = make_candidate({(1, 0): linear, (0, 1): (0.5, 0.5)})
+        with pytest.raises(NotNormalized):
+            commutator_experiment(F, 1j)
+
 
 class TestRotationCommutation:
     def test_identity_residual_zero(self):

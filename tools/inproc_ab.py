@@ -1,4 +1,5 @@
-"""In-process A/B of certify, membership, apply and orbit: the working tree against a parent.
+"""A/B of certify, membership, apply and orbit in process, and of the CLI in subprocesses:
+the working tree against a parent.
 
 Usage, from anywhere inside a git checkout of symbidisc:
 
@@ -8,7 +9,7 @@ Usage, from anywhere inside a git checkout of symbidisc:
 `unpack`) into a temporary directory, which is removed at the end, as the package
 `symbidisc_parent`; every import inside `src/` is relative, so it loads beside the
 working tree's `symbidisc` in the same interpreter. perfbench's `build_inputs(SEED)`
-draws the inputs of four sections, and each side boxes them with its own package:
+draws the inputs of five sections, and each side boxes them with its own package:
 - certify: each side rebuilds, with its own `lift`, `make_moebius` and `apply_g2`, the
   maps perfbench certifies (each seeded element as a G2Automorphism and as a black
   box, and each injected shear) and calls `normalize_and_extract` on each;
@@ -19,24 +20,32 @@ draws the inputs of four sections, and each side boxes them with its own package
   images' discrepancy, on each of the first POINTS points of the apply cloud;
 - orbit: perfbench's orbit step body, the package root's `orbit_sample` of
   `sizes.orbit_images` images for each orbit seed, of the base point and of the
-  origin alternately, as in perfbench's `geometry_steps`.
+  origin alternately, as in perfbench's `geometry_steps`;
+- cli: one `python -m symbidisc` process for each of the first CLI_SCALAR argvs of
+  perfbench's `cli_scalar` (every kind once, exit codes 0 to 4) and its first
+  `cli_orbit` argv. Each side's package sources, without bytecode, are copied into a
+  directory of their own as `symbidisc`, and each process starts there with
+  PYTHONDONTWRITEBYTECODE=1: both sides compile their sources on every start, as a
+  benchmark run in a fresh checkout with that setting does.
 
 The script first checks, section by section, that both sides give the same output
 for every input, by `float.hex` of every float in it (a report's every field; a
 region, margin, flag and residual; both images and their discrepancy; every orbit
-image), or the same exception type and message. It prints the number of outputs that
-differ in each section and, for certify, how far the reports moved: the number of
-maps whose verdict (identity_certified, royal_ok) or exception type changed and, for
-each numeric report field, the largest absolute difference. If any output differs, it
-does not time and exits 1. So only a change that keeps every output bit for bit is
-timed. The script then runs ROUNDS ABBA rounds: in each, for each section in turn,
-one pass over all its inputs on each side, then each side again in the reverse
-order, every pass timed with `time.thread_time` (CPU time of this thread, unpaced, so
-another process on the machine slows neither side's clock). The round ratio is the
-parent's time over the change's, above 1 when the change is faster. For each
-section it prints each side's µs per call, the median and quartiles of the round
-ratios and the rounds the change won, then the same as one JSON line, which names
-the section and the parent by its short commit hash.
+image), or the same exception type and message; for cli, by exit code and stdout. It
+prints the number of outputs that differ in each section and, for certify, how far the
+reports moved: the number of maps whose verdict (identity_certified, royal_ok) or
+exception type changed and, for each numeric report field, the largest absolute
+difference. If any output differs, it does not time and exits 1. So only a change
+that keeps every output bit for bit is timed. The script then runs ROUNDS ABBA
+rounds: in each, for each section in turn, one pass over all its inputs on each side,
+then each side again in the reverse order, every pass timed with `time.thread_time`
+(CPU time of this thread, unpaced, so another process on the machine slows neither
+side's clock); cli takes part in the first CLI_ROUNDS rounds only, each pass timed by
+the CPU time of the processes it waited for (RUSAGE_CHILDREN), interpreter start
+included. The round ratio is the parent's time over the change's, above 1 when the
+change is faster. For each section it prints each side's µs per call, the median and
+quartiles of the round ratios and the rounds the change won, then the same as one JSON
+line, which names the section and the parent by its short commit hash.
 """
 
 from __future__ import annotations
@@ -47,6 +56,9 @@ import gc
 import importlib
 import importlib.util
 import json
+import os
+import shutil
+import subprocess
 import sys
 import tempfile
 import time
@@ -57,6 +69,8 @@ PARENT_PACKAGE = "symbidisc_parent"
 SEED = 11  # perfbench's build_inputs seed: 440 certify maps
 POINTS = 10_000  # the leading points of the member and apply clouds
 ROUNDS = 60
+CLI_SCALAR = 8  # perfbench's cli_scalar draws each of its 8 kinds once, first
+CLI_ROUNDS = 8  # each starts 36 interpreters, about 4 s
 
 _spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
 ab_bench = importlib.util.module_from_spec(_spec)
@@ -123,6 +137,30 @@ def orbit_step(pkg, count: int):
         pt, seed = item
         return orbit_sample(pt, count, seed)
     return step
+
+
+def cli_tree(package: Path, into: Path) -> Path:
+    """Copy the package directory's sources, without bytecode, to into/symbidisc, and
+    return `into`, where that side's `python -m symbidisc` starts."""
+    shutil.copytree(package, into / "symbidisc", ignore=shutil.ignore_patterns("__pycache__"))
+    return into
+
+
+def cli_step(tree: Path):
+    """One `python -m symbidisc` process on an argv, started in `tree`, whose package it
+    imports first, writing no bytecode: its (exit code, stdout)."""
+    path = os.pathsep.join(filter(None, [str(tree), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": path}
+
+    def step(argv):
+        proc = subprocess.run([sys.executable, "-m", "symbidisc", *argv], cwd=tree, env=env,
+                              capture_output=True, timeout=120)
+        return proc.returncode, proc.stdout
+    return step
+
+
+def cli_argvs(inputs) -> list:
+    return inputs.cli_scalar[:CLI_SCALAR] + inputs.cli_orbit[:1]
 
 
 def sections(pkg, inputs) -> dict:
@@ -202,13 +240,13 @@ def format_drift(moved: dict) -> str:
             f"largest |change - parent| per field: {fields or 'no map gave a report on both sides'}")
 
 
-def timed_pass(call, items: list) -> float:
-    """Thread CPU seconds of one call per item."""
+def timed_pass(call, items: list, clock=time.thread_time) -> float:
+    """`clock` seconds, thread CPU by default, of one call per item."""
     gc.collect()
-    start = time.thread_time()
+    start = clock()
     for item in items:
         call(item)
-    return time.thread_time() - start
+    return clock() - start
 
 
 def summarize(parent: list[float], change: list[float], calls: int) -> dict:
@@ -238,12 +276,15 @@ def parse_args(argv) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
-def compare(rev: str, parent_pkg, change_pkg) -> int:
+def compare(rev: str, parent_pkg, change_pkg, trees: tuple[Path, Path] | None = None) -> int:
     """Check both packages' outputs on SEED's inputs, section by section, then time
-    every section in ABBA rounds."""
+    every section in ABBA rounds; the cli section runs when `trees`, the parent's and
+    the change's cli_tree, are given."""
     inputs = importlib.import_module("workload_inputs").build_inputs(SEED)
     sides = {name: sections(pkg, inputs)
              for name, pkg in (("parent", parent_pkg), ("change", change_pkg))}
+    for name, tree in zip(sides, trees or ()):
+        sides[name]["cli"] = (cli_step(tree), cli_argvs(inputs))
 
     print(f"rev {rev}, seed {SEED}")
     differing = 0
@@ -252,20 +293,25 @@ def compare(rev: str, parent_pkg, change_pkg) -> int:
         before = [result(parent, item) for item in parent_items]
         after = [result(change, item) for item in change_items]
         differ = sum(fingerprint(a) != fingerprint(b) for a, b in zip(before, after, strict=True))
-        print(f"{section}: {len(change_items)} inputs, {differ} outputs differ by float.hex")
+        by = "exit code and stdout" if section == "cli" else "float.hex"
+        print(f"{section}: {len(change_items)} inputs, {differ} outputs differ by {by}")
         if differ and section == "certify":
             print(format_drift(drift(before, after)))
         differing += differ
     if differing:
         return 1
 
+    child_cpu = importlib.import_module("sections").child_cpu  # perfbench's, RUSAGE_CHILDREN
     times = {section: {name: [] for name in sides} for section in sides["change"]}
     for i in range(ROUNDS):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for section in times:
+            if section == "cli" and i >= CLI_ROUNDS:
+                continue
+            clock = child_cpu if section == "cli" else time.thread_time
             spent = dict.fromkeys(sides, 0.0)
             for name in order + order[::-1]:
-                spent[name] += timed_pass(*sides[name][section])
+                spent[name] += timed_pass(*sides[name][section], clock)
             for name in sides:
                 times[section][name].append(spent[name])
     for section in times:
@@ -279,9 +325,13 @@ def compare(rev: str, parent_pkg, change_pkg) -> int:
 def main(argv=None) -> int:
     args = parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="inproc_ab_") as tmp:
-        rev = unpack_parent(args.rev, Path(tmp))
-        sys.path[:0] = [tmp, str(ROOT / "src"), str(ROOT / "perfbench")]
-        return compare(rev, *map(importlib.import_module, (PARENT_PACKAGE, "symbidisc")))
+        tmp = Path(tmp)
+        rev = unpack_parent(args.rev, tmp)
+        trees = (cli_tree(tmp / PARENT_PACKAGE, tmp / "parent"),
+                 cli_tree(ROOT / "src" / "symbidisc", tmp / "change"))
+        sys.path[:0] = [str(tmp), str(ROOT / "src"), str(ROOT / "perfbench")]
+        packages = map(importlib.import_module, (PARENT_PACKAGE, "symbidisc"))
+        return compare(rev, *packages, trees)
 
 
 if __name__ == "__main__":
