@@ -21,9 +21,7 @@ import json
 import math
 import sys
 
-from .disc_moebius import make_moebius
 from .errors import NotOnRoyalVariety
-from .g2_group import apply_g2, apply_g2_via_roots, transport_to_origin
 from .jsonio import (
     complex_from_json,
     candidate_from_json,
@@ -74,6 +72,8 @@ def _cmd_membership(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    from .g2_group import apply_g2, apply_g2_via_roots
+
     image = apply_g2(args.automorphism, args.point)
     via_roots = apply_g2_via_roots(args.automorphism, args.point)
     out = sympoint_to_json(image)
@@ -83,6 +83,8 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_transport(args) -> int:
+    from .g2_group import transport_to_origin
+
     try:
         H = transport_to_origin(args.point, args.tol)
     except NotOnRoyalVariety as exc:
@@ -117,6 +119,8 @@ def _cmd_orbit(args) -> int:
 
 def _rotation_from_json(obj) -> complex:
     """A JSON complex that passes make_moebius's |tau| = 1 check, returned as parsed."""
+    from .disc_moebius import make_moebius
+
     tau = complex_from_json(obj)
     make_moebius(tau, 0j)
     return tau

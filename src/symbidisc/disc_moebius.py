@@ -41,7 +41,8 @@ def _canonical_params(tau, a):
     # the largest entry decides; a NaN propagates into it and fails the negated test
     mod_a = _largest(abs(a))
     if not mod_a < A_MODULUS_LIMIT:
-        raise ParameterOutOfDomain(f"|a| = {mod_a} must be < {A_MODULUS_LIMIT}")
+        # A_MODULUS_LIMIT by its formula: printed, it reads as an |a| at the limit does
+        raise ParameterOutOfDomain(f"|a| = {mod_a} must be < 1 - 1e-12")
     mod = abs(tau)
     drift = _largest(abs(mod - 1.0))
     if not drift <= TAU_MODULUS_SLACK:

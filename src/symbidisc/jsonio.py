@@ -11,9 +11,7 @@ from __future__ import annotations
 import cmath
 import json
 
-from .disc_moebius import DiscAutomorphism, make_moebius
-from .g2_group import G2Automorphism, Jacobian2, lift
-from .sym_geometry import MembershipVerdict, SymPoint
+from .sym_geometry import SymPoint
 
 
 def complex_to_json(z: complex) -> dict:
@@ -51,6 +49,8 @@ def moebius_to_json(h: DiscAutomorphism) -> dict:
 
 
 def moebius_from_json(obj: object) -> DiscAutomorphism:
+    from .disc_moebius import make_moebius
+
     tau, a = _fields(obj, "disc automorphism", "tau", "a")
     return make_moebius(complex_from_json(tau), complex_from_json(a))
 
@@ -69,6 +69,8 @@ def g2_to_json(H: G2Automorphism) -> dict:
 
 
 def g2_from_json(obj: object) -> G2Automorphism:
+    from .g2_group import lift
+
     (h,) = _fields(obj, "group element", "h")
     return lift(moebius_from_json(h))
 

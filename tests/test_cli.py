@@ -470,6 +470,14 @@ class TestInputErrors:
         assert err.startswith("usage: symbidisc membership ")
         assert "\nsymbidisc membership: error: argument point: maximum recursion depth" in err
 
+    def test_a_at_the_limit_names_the_limit(self, capsys):
+        # |a| equal to A_MODULUS_LIMIT prints as the limit does, so the message names it
+        code, out, err = run(capsys, "apply", '{"h": {"tau": 1, "a": 0.999999999999}}',
+                             point(0, 0))
+        assert (code, out) == (64, "")
+        assert err.splitlines()[-1] == ("symbidisc apply: error: argument automorphism: "
+                                        "|a| = 0.999999999999 must be < 1 - 1e-12")
+
     @pytest.mark.parametrize("name", sorted(JSON_ARGUMENTS))
     def test_every_json_argument_reads_stdin(self, capsys, monkeypatch, name):
         command, _, _, valid, args = JSON_ARGUMENTS[name]
@@ -533,7 +541,8 @@ def test_scalar_commands_do_not_load_the_proof_lab(capsys):
 
 # numpy 2.x imports typing itself, so typing is absent only from the scalar commands
 @pytest.mark.parametrize("argv,loaded,absent", [
-    (["membership", point(0.9, 0.2)], [], LAB_AND_NUMPY + ["typing"]),
+    (["membership", point(0.9, 0.2)], [],
+     LAB_AND_NUMPY + ["typing", "symbidisc.g2_group", "symbidisc.disc_moebius"]),
     (["apply", IDENTITY_AUTO, point(0.8, 0.16)], [], LAB_AND_NUMPY + ["typing"]),
     (["transport", point(1.0, 0.25)], [], LAB_AND_NUMPY + ["typing"]),
     (["commutator", SHEAR_CANDIDATE, "--tau", "-1"], ["symbidisc.candidates"],

@@ -4,6 +4,9 @@ import dataclasses
 import importlib.util
 import json
 import math
+import os
+import shutil
+import sys
 import types
 from pathlib import Path
 
@@ -111,18 +114,13 @@ def test_drift_counts_a_flipped_verdict():
     assert "no map gave a report" in inproc_ab.format_drift(inproc_ab.drift([report], [KeyError()]))
 
 
-def _with(module_name: str | None, **kernels):
-    """symbidisc as inproc_ab's sections read it, with `kernels` in place of the same
-    names of its module `module_name`, or of the package root when that is None."""
-    modules = {name: getattr(symbidisc, name)
-               for name in ("disc_moebius", "g2_group", "sym_geometry")}
-    root = {"normalize_and_extract": symbidisc.normalize_and_extract,
-            "orbit_sample": symbidisc.orbit_sample}
-    if module_name is None:
-        root.update(kernels)
-    else:
-        modules[module_name] = types.SimpleNamespace(**{**vars(modules[module_name]), **kernels})
-    return types.SimpleNamespace(**root, **modules)
+def _with(**kernels):
+    """symbidisc's package root as inproc_ab's sections read it, with `kernels` in place
+    of the same names."""
+    names = ("SymPoint", "apply_g2", "apply_g2_via_roots", "in_g2", "in_sigma2", "lift",
+             "make_moebius", "normalize_and_extract", "orbit_sample")
+    return types.SimpleNamespace(**{**{name: getattr(symbidisc, name) for name in names},
+                                    **kernels})
 
 
 def _residual_moved(pt):
@@ -131,7 +129,7 @@ def _residual_moved(pt):
 
 
 def _image_moved(H, pt):
-    s, p = symbidisc.g2_group.apply_g2_via_roots(H, pt)
+    s, p = symbidisc.apply_g2_via_roots(H, pt)
     return symbidisc.SymPoint(s, complex(math.nextafter(p.real, math.inf), p.imag))
 
 
@@ -142,9 +140,9 @@ def _orbit_moved(pt, count, seed):
 
 
 @pytest.mark.parametrize("section,change", [
-    ("membership", _with("sym_geometry", in_sigma2=_residual_moved)),
-    ("apply", _with("g2_group", apply_g2_via_roots=_image_moved)),
-    ("orbit", _with(None, orbit_sample=_orbit_moved)),
+    ("membership", _with(in_sigma2=_residual_moved)),
+    ("apply", _with(apply_g2_via_roots=_image_moved)),
+    ("orbit", _with(orbit_sample=_orbit_moved)),
 ], ids=["membership", "apply", "orbit"])
 def test_a_moved_last_bit_is_not_timed(capsys, monkeypatch, section, change):
     # one side's kernel moves the last bit of every output of one section
@@ -208,3 +206,25 @@ def test_cli_section_is_timed_by_its_processes_in_its_own_rounds(capsys, monkeyp
     # thread spends starting and waiting for it
     assert cli["calls_per_round"] == 6
     assert cli["parent_us"] > 10_000 and cli["change_us"] > 10_000
+
+
+def test_main_pins_to_one_cpu_before_timing(monkeypatch):
+    # compare runs every timed pass; the parent stands in as a copy of the working
+    # tree, and both sides as the package already loaded
+    pinned = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append((pid, cpus)))
+
+    def unpack_parent(rev, into):
+        shutil.copytree(ROOT / "src" / "symbidisc", into / inproc_ab.PARENT_PACKAGE)
+        return rev
+
+    def compare(rev, parent_pkg, change_pkg, trees):
+        assert pinned == [(0, {min(os.sched_getaffinity(0))})]
+        return 0
+    monkeypatch.setattr(inproc_ab, "unpack_parent", unpack_parent)
+    monkeypatch.setattr(inproc_ab, "importlib", types.SimpleNamespace(
+        import_module=lambda name: symbidisc))
+    monkeypatch.setattr(inproc_ab, "compare", compare)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert inproc_ab.main(["--rev", "test"]) == 0
+    assert len(pinned) == 1

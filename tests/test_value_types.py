@@ -226,12 +226,18 @@ def test_pipeline_report_is_the_only_dataclass():
 # Guard: proof_lab, the one module that needs dataclasses, loads only on use
 # ---------------------------------------------------------------------------
 
-# the proof-lab names the package served eagerly before they became lazy
+# every public name of the package root, each loaded with its module on first access
 LAZY_NAMES = [
-    "CandidateMap", "CommutatorReport", "PipelineReport", "cauchy_bound_check",
-    "commutator_experiment", "commutator_jacobian", "evaluate_candidate", "fit_candidate",
-    "force_c_zero", "iterate_commutator", "make_candidate", "normalize_and_extract",
-    "orbit_sample", "origin_jacobian", "weighted_form_extract",
+    "CandidateMap", "CommutatorReport", "DiscAutomorphism", "G2Automorphism", "Jacobian2",
+    "MembershipVerdict", "NotNormalized", "NotOnRoyalVariety", "NotWeightedHomogeneous",
+    "ORIGIN", "ParameterOutOfDomain", "PipelineReport", "PoleEncountered",
+    "PreconditionUnmet", "RootPair", "SingularJacobian", "SymPoint", "apply_g2",
+    "apply_g2_via_roots", "apply_moebius", "cauchy_bound_check", "commutator_experiment",
+    "commutator_jacobian", "compose", "compose_g2", "desymmetrize", "evaluate_candidate",
+    "fit_candidate", "force_c_zero", "in_g2", "in_sigma2", "invert", "invert_g2",
+    "iterate_commutator", "jacobian_at", "lift", "make_candidate", "make_moebius",
+    "normalize_and_extract", "orbit_sample", "origin_jacobian", "rotation", "royal_param",
+    "symmetrize", "transport_to_origin", "weighted_form_extract",
 ]
 
 
@@ -239,10 +245,13 @@ def test_proof_lab_names_load_on_first_access():
     script = "\n".join([
         "import sys",
         "import symbidisc",
-        "assert 'symbidisc.proof_lab' not in sys.modules, 'imported with the package'",
-        "assert 'symbidisc.candidates' not in sys.modules, 'imported with the package'",
+        "loaded = [name for name in sys.modules if name.startswith('symbidisc.')]",
+        "assert not loaded, f'imported with the package: {loaded}'",
+        "assert set(symbidisc._LAZY) <= set(dir(symbidisc)), 'dir() misses a name'",
+        "assert 'make_candidate' not in vars(symbidisc)",
         "symbidisc.make_candidate",
         "assert 'symbidisc.candidates' in sys.modules, 'make_candidate did not load candidates'",
+        "assert 'make_candidate' in vars(symbidisc), 'make_candidate was not bound'",
         "assert 'symbidisc.proof_lab' not in sys.modules, 'make_candidate loaded proof_lab'",
         "orbit_sample = symbidisc.orbit_sample",
         "assert 'symbidisc.sampling' in sys.modules, 'orbit_sample did not load sampling'",

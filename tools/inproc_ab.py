@@ -36,11 +36,12 @@ prints the number of outputs that differ in each section and, for certify, how f
 reports moved: the number of maps whose verdict (identity_certified, royal_ok) or
 exception type changed and, for each numeric report field, the largest absolute
 difference. If any output differs, it does not time and exits 1. So only a change
-that keeps every output bit for bit is timed. The script then runs ROUNDS ABBA
-rounds: in each, for each section in turn, one pass over all its inputs on each side,
-then each side again in the reverse order, every pass timed with `time.thread_time`
-(CPU time of this thread, unpaced, so another process on the machine slows neither
-side's clock); cli takes part in the first CLI_ROUNDS rounds only, each pass timed by
+that keeps every output bit for bit is timed. The script runs on one CPU, as perfbench
+does, and so do the cli section's processes. It then runs ROUNDS ABBA rounds: in
+each, for each section in turn, one pass over all its inputs on each side, then each
+side again in the reverse order, every pass timed with `time.thread_time` (CPU time
+of this thread, unpaced, so another process on the machine slows neither side's
+clock); cli takes part in the first CLI_ROUNDS rounds only, each pass timed by
 the CPU time of the processes it waited for (RUSAGE_CHILDREN), interpreter start
 included. The round ratio is the parent's time over the change's, above 1 when the
 change is faster. For each section it prints each side's µs per call, the median and
@@ -87,11 +88,10 @@ def unpack_parent(rev: str, into: Path) -> str:
 
 def certify_maps(pkg, elements: list, injected: list) -> list:
     """perfbench's certify maps, built with pkg's own functions from (tau, a) and C."""
-    g2, dm, sg = pkg.g2_group, pkg.disc_moebius, pkg.sym_geometry
-    apply_g2, SymPoint = g2.apply_g2, sg.SymPoint
+    apply_g2, SymPoint = pkg.apply_g2, pkg.SymPoint
 
     def lifted(tau, a):
-        return g2.lift(dm.make_moebius(tau, a))
+        return pkg.lift(pkg.make_moebius(tau, a))
 
     maps = []
     for tau, a in elements:
@@ -106,7 +106,7 @@ def certify_maps(pkg, elements: list, injected: list) -> list:
 def membership_step(pkg):
     """perfbench's membership step body on one point, with pkg's kernels: the whole
     verdict and royal test, so that margin and residual are compared too."""
-    in_g2, in_sigma2 = pkg.sym_geometry.in_g2, pkg.sym_geometry.in_sigma2
+    in_g2, in_sigma2 = pkg.in_g2, pkg.in_sigma2
 
     def step(pt):
         return in_g2(pt), in_sigma2(pt)
@@ -116,7 +116,7 @@ def membership_step(pkg):
 def apply_step(pkg, H):
     """perfbench's apply step body on one point, with pkg's kernels: both routes'
     images and their discrepancy, or the error that a route raised."""
-    apply_g2, apply_g2_via_roots = pkg.g2_group.apply_g2, pkg.g2_group.apply_g2_via_roots
+    apply_g2, apply_g2_via_roots = pkg.apply_g2, pkg.apply_g2_via_roots
 
     def step(pt):
         try:
@@ -169,9 +169,9 @@ def sections(pkg, inputs) -> dict:
     elements = [(H.h.tau, H.h.a) for H in inputs.genuine]
     injected = [((H.h.tau, H.h.a), C) for H, C in inputs.injected]
     h = inputs.apply_element.h
-    H = pkg.g2_group.lift(pkg.disc_moebius.make_moebius(h.tau, h.a))
+    H = pkg.lift(pkg.make_moebius(h.tau, h.a))
 
-    SymPoint = pkg.sym_geometry.SymPoint
+    SymPoint = pkg.SymPoint
     base, origin = SymPoint(inputs.base_point.s, inputs.base_point.p), SymPoint(0j, 0j)
     orbits = [(origin if i % 2 else base, seed) for i, seed in enumerate(inputs.orbit_seeds)]
 
@@ -324,6 +324,9 @@ def compare(rev: str, parent_pkg, change_pkg, trees: tuple[Path, Path] | None = 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # as perfbench's pin_to_one_cpu: every pass, and the cli section's children, on one
+    # CPU, whose speed both sides then share
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory(prefix="inproc_ab_") as tmp:
         tmp = Path(tmp)
         rev = unpack_parent(args.rev, tmp)
